@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -223,74 +222,58 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
     Alternates reduced column and row Hermite passes until the matrix is
-    diagonal, then couples adjacent diagonal entries until the divisor
-    chain holds (the classical Kannan-Bachem scheme).  The Hermite
-    reduction keeps every intermediate entry determinant-bounded, unlike
-    one-pivot-at-a-time elimination whose entries can explode, and the
+    diagonal (the classical Kannan-Bachem scheme).  Each pass applies its
+    operations directly to the running transform (V, or U transposed), so
+    no transform product is ever formed.  The Hermite reduction keeps every
+    intermediate entry determinant-bounded, unlike one-pivot-at-a-time
+    elimination whose entries can explode.
+
+    The divisor chain is then closed in a single pass over the diagonal:
+    each pair (a, b) with a not dividing b is mapped to (gcd, lcm) by one
+    2x2 unimodular transform on U and V.  There is no round cap; the
     procedure is deterministic.
     """
     rows, cols = m.rows, m.cols
-    a = m
-    u = IntMatrix.identity(rows)
-    v = IntMatrix.identity(cols)
-    for _ in range(1000):
-        h, w = column_echelon(a)
-        a, v = h, v @ w
-        ht, wt = column_echelon(a.transpose())
-        a, u = ht.transpose(), wt.transpose() @ u
-        if not _off_diagonal_zero(a):
-            continue
-        # both echelon passes sort zero columns/rows to the back, so once the
-        # matrix is diagonal its nonzero entries form a prefix
-        diag = [a.entries[i][i] for i in range(min(rows, cols))]
-        chained = True
-        for i in range(len(diag) - 1):
-            if diag[i] and diag[i + 1] and diag[i + 1] % diag[i]:
-                # pull the offender into row i; the next column pass then
-                # replaces the pivot by the gcd of the pair
-                bump = IntMatrix.from_rows(
-                    [[1 if r == c or (r == i and c == i + 1) else 0
-                      for c in range(rows)] for r in range(rows)], cols=rows)
-                a, u = bump @ a, bump @ u
-                chained = False
-                break
-        if chained:
-            return SmithDecomposition(U=u, S=a, V=v, source=m)
-    raise RuntimeError("Smith reduction failed to converge")
+    a, v, ut = m, IntMatrix.identity(cols), IntMatrix.identity(rows)
+    while True:
+        a, v = column_echelon(a, v)
+        at, ut = column_echelon(a.transpose(), ut)
+        a = at.transpose()
+        if _off_diagonal_zero(a):
+            break
+    # both echelon passes sort zero columns/rows to the back and make pivots
+    # positive, so the diagonal is a positive prefix followed by zeros
+    diag = [a.entries[i][i] for i in range(min(rows, cols))]
+    urows = [list(c) for c in zip(*ut.entries)]
+    vcols = [list(c) for c in zip(*v.entries)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            if not x or not y % x:
+                continue
+            # with g = s*x + t*y: [[s, t], [-y/g, x/g]] on rows i, j of U and
+            # [[1, -t*y/g], [1, s*x/g]] on columns i, j of V turn
+            # diag(x, y) into diag(g, x*y/g)
+            g = math.gcd(x, y)
+            p, q = x // g, y // g
+            s = pow(p, -1, q)
+            t = (1 - s * p) // q
+            ui, uj = urows[i], urows[j]
+            urows[i] = [s * e + t * f for e, f in zip(ui, uj)]
+            urows[j] = [p * f - q * e for e, f in zip(ui, uj)]
+            vi, vj = vcols[i], vcols[j]
+            vcols[i] = [e + f for e, f in zip(vi, vj)]
+            vcols[j] = [s * p * f - t * q * e for e, f in zip(vi, vj)]
+            diag[i], diag[j] = g, x * q
+    return SmithDecomposition(
+        U=IntMatrix(rows, rows, tuple(tuple(r) for r in urows)),
+        S=IntMatrix.diagonal(diag, rows, cols),
+        V=IntMatrix(cols, cols, tuple(zip(*vcols))),
+        source=m)
 
 
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    aug = [[Fraction(x) for x in m.entries[i]] +
-           [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = aug[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular (inverse is not integral)")
-            row.append(int(x))
-        out.append(tuple(row))
-    return IntMatrix(n, n, tuple(out))
-
-
-def column_echelon(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def column_echelon(m: IntMatrix,
+                   transform: IntMatrix | None = None) -> tuple[IntMatrix, IntMatrix]:
     """Column Hermite form: (H, W) with m @ W == H and W unimodular.
 
     Nonzero columns of H have strictly increasing leading rows and positive
@@ -298,19 +281,24 @@ def column_echelon(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     modulo it, and zero columns trail.  Unlike the Smith transforms, the
     nonzero part of H is a basis of the column lattice of m with entries of
     moderate size, which is what the homology pipeline builds on.
+
+    The columns of W over the zero columns of H are a lattice basis of
+    ker(m).  When `transform` (with m.cols columns) is given, the column
+    operations are applied to it instead of to the identity, and the second
+    result is transform @ W.
     """
     rows, ncols = m.rows, m.cols
+    if transform is None:
+        transform = IntMatrix.identity(ncols)
+    elif transform.cols != ncols:
+        raise ValueError(f"transform has {transform.cols} columns, expected {ncols}")
     cols = [[m.entries[i][j] for i in range(rows)] for j in range(ncols)]
-    w = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    w = [[transform.entries[i][j] for i in range(transform.rows)] for j in range(ncols)]
 
     def combine(j, j0, q):
         # column j -= q * column j0
-        cj, c0 = cols[j], cols[j0]
-        for i in range(rows):
-            cj[i] -= q * c0[i]
-        wj, w0 = w[j], w[j0]
-        for i in range(ncols):
-            wj[i] -= q * w0[i]
+        cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
+        w[j] = [x - q * y for x, y in zip(w[j], w[j0])]
 
     next_pivot = 0
     for row in range(rows):
@@ -344,8 +332,8 @@ def column_echelon(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     h = IntMatrix(rows, ncols, tuple(tuple(cols[j][i] for j in range(ncols))
                                      for i in range(rows)))
-    wm = IntMatrix(ncols, ncols, tuple(tuple(w[j][i] for j in range(ncols))
-                                       for i in range(ncols)))
+    wm = IntMatrix(transform.rows, ncols, tuple(tuple(w[j][i] for j in range(ncols))
+                                                for i in range(transform.rows)))
     return h, wm
 
 
@@ -362,14 +350,15 @@ def _leading_rows(h: IntMatrix) -> list[tuple[int, int]]:
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """A lattice basis of ker(m), returned as the columns of a matrix.
 
-    The integer kernel of m is spanned exactly by the columns of the Smith
-    transform V beyond the rank; that raw basis is then Hermite-reduced so
-    the returned entries stay small.
+    The integer kernel of m is spanned exactly by the columns of the
+    column-Hermite transform W over the zero columns of H; that raw basis
+    is then Hermite-reduced, which makes the result the unique Hermite
+    basis of the kernel lattice, with small entries.
     """
-    dec = snf(m)
-    raw = dec.V.columns(range(dec.rank, m.cols))
-    reduced, _ = column_echelon(raw)
-    return reduced.columns(range(len(_leading_rows(reduced))))
+    h, w = column_echelon(m)
+    raw = w.columns(range(len(_leading_rows(h)), m.cols))
+    # raw has independent columns, so its Hermite form has no zero column
+    return column_echelon(raw)[0]
 
 
 def column_space_basis(m: IntMatrix) -> IntMatrix:
@@ -464,17 +453,19 @@ class FgAbGroup:
 
         `orders` are the orders of cyclic torsion summands, in any order and
         not necessarily a divisor chain; unit factors are dropped.  The chain
-        is recovered from the Smith form of the diagonal relation matrix.
+        is recovered without any matrix: each pair (a, b) of orders is
+        replaced by (gcd(a, b), lcm(a, b)), which keeps Z/a + Z/b fixed.
         """
         torsion = [int(d) for d in orders if d != 1]
         for d in torsion:
             if d < 1:
                 raise ValueError(f"cyclic order {d} must be positive")
-        if not torsion:
-            return cls(free_rank, ())
-        dec = snf(IntMatrix.diagonal(torsion))
-        factors = tuple(d for d in dec.diagonal if d > 1)
-        return cls(free_rank, factors)
+        for i in range(len(torsion)):
+            for j in range(i + 1, len(torsion)):
+                a, b = torsion[i], torsion[j]
+                g = math.gcd(a, b)
+                torsion[i], torsion[j] = g, a // g * b
+        return cls(free_rank, tuple(d for d in torsion if d > 1))
 
     # -- queries ------------------------------------------------------
 

@@ -6,8 +6,8 @@ entry at degree 0) together with integer boundary matrices whose entries are
 the degrees of the attaching-map composites.  Degrees without cells are
 simply absent and mean rank 0.
 
-Integral homology is computed by two Smith-form reductions (kernel basis,
-then quotient presentation).  Cohomology with coefficients in a finitely
+Integral homology takes Hermite reductions (kernel basis) and one Smith
+reduction (quotient presentation).  Cohomology with coefficients in a finitely
 generated group is available through two independent routes that must agree:
 :func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology,
 while :func:`cohomology_direct` reduces the actual cochain complex of
@@ -292,6 +292,13 @@ def complex_to_json(c: ChainComplex) -> dict:
     }
 
 
+def _json_ints(values, what: str) -> None:
+    """Refuse any value that is not a JSON integer: floats, strings, booleans."""
+    for x in values:
+        if type(x) is not int:
+            raise InvalidComplexError(f"{what} must be JSON integers, got {json.dumps(x)}")
+
+
 def complex_from_json(data: object) -> ChainComplex:
     """Parse and fully validate the JSON interchange form."""
     if not isinstance(data, dict):
@@ -305,9 +312,10 @@ def complex_from_json(data: object) -> ChainComplex:
     raw_bnd = data.get("boundaries", {})
     if not isinstance(raw_ranks, dict) or not isinstance(raw_bnd, dict):
         raise InvalidComplexError('"ranks" and "boundaries" must be objects')
+    _json_ints(raw_ranks.values(), "ranks")
     try:
-        ranks = {int(k): int(v) for k, v in raw_ranks.items()}
-    except (TypeError, ValueError):
+        ranks = {int(k): v for k, v in raw_ranks.items()}
+    except ValueError:
         raise InvalidComplexError("ranks must map integer degrees to integers") from None
     boundaries = {}
     for k, rows in raw_bnd.items():
@@ -317,9 +325,10 @@ def complex_from_json(data: object) -> ChainComplex:
             raise InvalidComplexError(f"bad boundary degree {k!r}") from None
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise InvalidComplexError(f"boundary {k!r} must be a list of rows")
+        _json_ints((x for row in rows for x in row), f"boundary {k!r} entries")
         try:
             mat = IntMatrix.from_rows(rows, cols=ranks.get(n, 0))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidComplexError(f"boundary {k!r}: {exc}") from None
         boundaries[n] = mat
     return ChainComplex(name, ranks, boundaries)

@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 
-from .abelian import FgAbGroup, GroupParseError, PrimeSet, parse_group
+from .abelian import FgAbGroup, PrimeSet, parse_group
 from .ahomology import a_homology_range, check_suspension_axiom, check_wedge_axiom, render_report, report_to_json
-from .chains import InvalidComplexError, cohomology_uct, homology
+from .chains import cohomology_uct, homology
 from .corpus import run_all
 from .federer import (
     ABSOLUTE,
@@ -30,7 +30,7 @@ from .federer import (
     render_page,
     torsion_class_check,
 )
-from .spaces import RecipeError, build, parse_recipe
+from .spaces import build, parse_recipe
 
 
 def _build_complex(recipe_text: str):
@@ -293,10 +293,8 @@ def main(argv=None) -> int:
     except RefusedHypothesis as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (RecipeError, GroupParseError, InvalidComplexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
+        # RecipeError, GroupParseError and InvalidComplexError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,14 @@
 """Brute-force oracles and small utilities shared by the test modules.
 
-The oracles here enumerate group elements directly and never touch the
-Smith-form machinery they are used to check.
+The oracles here enumerate group elements, factor orders or invert over the
+rationals, and never touch the Smith-form machinery they are used to check.
 """
 
+from collections import defaultdict
+from fractions import Fraction
 from itertools import product
 
-from ahom.abelian import FgAbGroup
+from ahom.abelian import FgAbGroup, IntMatrix
 
 
 def elements(g: FgAbGroup):
@@ -52,3 +54,59 @@ def divides(a, b) -> bool:
     if a == float("inf"):
         return False
     return b % a == 0
+
+
+def prime_power_group(free_rank: int, orders) -> FgAbGroup:
+    """Canonical form of Z^free_rank + sum of Z/d via prime-power multisets.
+
+    Each order is split into its prime powers; the k-th largest invariant
+    factor is the product, over the primes, of the k-th largest power.
+    """
+    powers = defaultdict(list)
+    for d in orders:
+        p = 2
+        while d > 1:
+            e = 1
+            while d % p == 0:
+                d //= p
+                e *= p
+            if e > 1:
+                powers[p].append(e)
+            p += 1
+    depth = max((len(v) for v in powers.values()), default=0)
+    factors = [1] * depth
+    for v in powers.values():
+        for k, e in enumerate(sorted(v, reverse=True)):
+            factors[depth - 1 - k] *= e
+    return FgAbGroup(free_rank, tuple(factors))
+
+
+def invert_unimodular(m: IntMatrix) -> IntMatrix:
+    """Exact inverse of a matrix with determinant +-1, by rational elimination."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    n = m.rows
+    aug = [[Fraction(x) for x in m.entries[i]] +
+           [Fraction(1 if i == j else 0) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n, 2 * n):
+            x = aug[i][j]
+            if x.denominator != 1:
+                raise ValueError("matrix is not unimodular (inverse is not integral)")
+            row.append(int(x))
+        out.append(tuple(row))
+    return IntMatrix(n, n, tuple(out))

@@ -18,14 +18,13 @@ from ahom.abelian import (
     ext,
     hom,
     in_class,
-    invert_unimodular,
     kernel_basis,
     parse_group,
     snf,
     solve,
     torsion_primes,
 )
-from helpers import brute_ext_order, brute_hom_order, divides
+from helpers import brute_ext_order, brute_hom_order, divides, invert_unimodular, prime_power_group
 
 Z = FgAbGroup.free(1)
 TRIVIAL = FgAbGroup.trivial()
@@ -92,6 +91,22 @@ class TestSnf:
     def test_certificate_invariants(self, m):
         assert_valid_snf(snf(m))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 36), min_size=2, max_size=12), st.integers(0, 2))
+    def test_certificate_on_broken_divisor_chains(self, diag, extra):
+        dec = snf(IntMatrix.diagonal(diag, len(diag) + extra, len(diag)))
+        assert_valid_snf(dec)
+        nonzero = [d for d in diag if d]
+        factors = prime_power_group(0, nonzero).invariant_factors
+        assert dec.diagonal[:dec.rank] == (1,) * (len(nonzero) - len(factors)) + factors
+
+    def test_long_broken_divisor_chain(self):
+        # a repair of one pair per Hermite round needs rounds quadratic in the
+        # length; 120 entries lie past where a 1000-round cap would stop it
+        dec = snf(IntMatrix.diagonal([4, 2] * 60))
+        assert_valid_snf(dec)
+        assert dec.diagonal == (2,) * 60 + (4,) * 60
+
 
 class TestColumnEchelon:
     @settings(max_examples=150, deadline=None)
@@ -124,6 +139,14 @@ class TestLatticeUtilities:
         assert (m @ k).is_zero()
         # column count matches the rank defect
         assert k.cols == m.cols - snf(m).rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices)
+    def test_kernel_basis_matches_smith_kernel(self, m):
+        # the Smith construction: Hermite form of the V columns beyond the rank
+        dec = snf(m)
+        smith_kernel, _ = column_echelon(dec.V.columns(range(dec.rank, m.cols)))
+        assert kernel_basis(m) == smith_kernel
 
     @settings(max_examples=100, deadline=None)
     @given(matrices)
@@ -197,6 +220,16 @@ class TestFgAbGroup:
         assert FgAbGroup.of(0, [2, 3]) == FgAbGroup.cyclic(6)
         assert FgAbGroup.of(0, [4, 2, 3]) == FgAbGroup(0, (2, 12))
         assert FgAbGroup.of(1, [1, 1]) == Z
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.integers(1, 200), max_size=12))
+    def test_of_matches_prime_power_oracle(self, rank, orders):
+        assert FgAbGroup.of(rank, orders) == prime_power_group(rank, orders)
+
+    def test_of_rejects_nonpositive_orders(self):
+        for bad in (0, -4):
+            with pytest.raises(ValueError):
+                FgAbGroup.of(0, [2, bad])
 
     def test_rendering(self):
         assert str(TRIVIAL) == "0"

@@ -139,6 +139,26 @@ class TestExitCodes:
         assert code == 2
         assert "nonzero" in err
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("boundary", 2.9, "2.9"),
+        ("boundary", True, "true"),
+        ("boundary", "2", '"2"'),
+        ("rank", 1.0, "1.0"),
+        ("rank", True, "true"),
+        ("rank", "1", '"1"'),
+    ])
+    def test_non_integer_json_is_two(self, capsys, tmp_path, field, value, shown):
+        data = {"reduced": True, "ranks": {"1": 1, "2": 1}, "boundaries": {"2": [[2]]}}
+        if field == "boundary":
+            data["boundaries"]["2"] = [[value]]
+        else:
+            data["ranks"]["2"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "homology", "--X", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert "JSON integer" in err and shown in err
+
     def test_unknown_verb_is_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
