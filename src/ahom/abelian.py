@@ -23,12 +23,36 @@ Z/2
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
 class GroupParseError(ValueError):
     """Raised when a group string does not follow the rendering grammar."""
+
+
+def canonical_int(text: str, what: str, error: type[ValueError] = ValueError) -> int:
+    """The integer `text` writes, which must equal str(int(text)).
+
+    Every integer thus has one spelling: no "+", leading zeros, underscores,
+    whitespace or non-ASCII digits.  Otherwise `error` is raised, naming
+    `what` and the text; text past the interpreter's digit limit is refused
+    without being echoed.
+
+    >>> canonical_int("-12", "degree")
+    -12
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit:
+        raise error(f"bad {what}: integer text of {len(text)} characters "
+                    f"exceeds the limit of {limit} digits")
+    try:
+        if str(int(text)) == text:
+            return int(text)
+    except ValueError:
+        pass
+    raise error(f"bad {what}: {text!r} is not a canonical decimal integer")
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +109,6 @@ class IntMatrix:
             for i in range(r)))
 
     # -- queries ------------------------------------------------------
-
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        i, j = pos
-        return self.entries[i][j]
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -496,38 +516,34 @@ class FgAbGroup:
 def parse_group(text: str) -> FgAbGroup:
     """Parse the canonical rendering grammar back into a group.
 
-    Accepts "0", "Z", "Z^r", "Z/d" joined by "+"; whitespace-insensitive.
+    Accepts "0", "Z", "Z^r", "Z/d" joined by "+", with whitespace allowed
+    around each summand; r and d must be canonical decimal integers.
     The summands may appear in any order; the result is canonicalized.
     """
-    s = "".join(text.split())
-    if not s:
+    if not text.strip():
         raise GroupParseError("empty group string")
-    if s == "0":
+    if text.strip() == "0":
         return FgAbGroup.trivial()
     rank = 0
     orders = []
-    for token in s.split("+"):
+    for token in (t.strip() for t in text.split("+")):
         if token == "Z":
             rank += 1
         elif token.startswith("Z^"):
-            try:
-                r = int(token[2:])
-            except ValueError:
-                raise GroupParseError(f"bad free part {token!r}") from None
-            if r < 1:
-                raise GroupParseError(f"bad free part {token!r}")
-            rank += r
+            rank += _summand_int(token, "free part", 1)
         elif token.startswith("Z/"):
-            try:
-                d = int(token[2:])
-            except ValueError:
-                raise GroupParseError(f"bad cyclic factor {token!r}") from None
-            if d < 2:
-                raise GroupParseError(f"bad cyclic factor {token!r}")
-            orders.append(d)
+            orders.append(_summand_int(token, "cyclic factor", 2))
         else:
             raise GroupParseError(f"unrecognized summand {token!r}")
     return FgAbGroup.of(rank, orders)
+
+
+def _summand_int(token: str, what: str, least: int) -> int:
+    """The integer after "Z^" or "Z/" in a summand; it must be >= least."""
+    k = canonical_int(token[2:], what, GroupParseError)
+    if k < least:
+        raise GroupParseError(f"bad {what} {token!r}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +636,6 @@ class PrimeSet:
     @classmethod
     def of(cls, *primes: int) -> "PrimeSet":
         return cls(frozenset(primes))
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
 
     def issuperset(self, other: "PrimeSet") -> bool:
         return self.primes >= other.primes

@@ -7,7 +7,10 @@ the degrees of the attaching-map composites.  Degrees without cells are
 simply absent and mean rank 0.
 
 Integral homology takes Hermite reductions (kernel basis) and one Smith
-reduction (quotient presentation).  Cohomology with coefficients in a finitely
+reduction (quotient presentation) per degree.  A complex reduces all its
+degrees once, on first use, and keeps the result as
+:attr:`ChainComplex.graded_homology`; :func:`homology` and everything built
+on it read that value.  Cohomology with coefficients in a finitely
 generated group is available through two independent routes that must agree:
 :func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology,
 while :func:`cohomology_direct` reduces the actual cochain complex of
@@ -18,11 +21,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .abelian import (
     FgAbGroup,
     IntMatrix,
+    canonical_int,
     cokernel,
     column_space_basis,
     direct_sum,
@@ -107,17 +112,17 @@ class ChainComplex:
             return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
         return mat
 
+    @cached_property
+    def graded_homology(self) -> GradedGroups:
+        """All reduced homology groups, from one reduction of each degree.
+
+        Computed on first use and kept on the instance; it is derived from
+        the fields, so equality and the file form ignore it.
+        """
+        return GradedGroups.of(0, self.top_degree, {n: _reduce(self, n) for n in self.ranks})
+
 
 TRIVIAL_COMPLEX = ChainComplex("pt", {}, {})
-
-
-def validate(c: ChainComplex) -> None:
-    """Re-checks every structural invariant of `c`.
-
-    Construction already validates, so this is a re-entry point for data
-    that arrived through channels the type system cannot vouch for.
-    """
-    ChainComplex(c.name, dict(c.ranks), dict(c.boundaries))
 
 
 @dataclass(frozen=True)
@@ -147,13 +152,8 @@ class GradedGroups:
 # Homology and cohomology
 # ---------------------------------------------------------------------------
 
-def homology(c: ChainComplex, n: int) -> FgAbGroup:
-    """ker(d_n) / im(d_{n+1}) in canonical form; reduced by convention.
-
-    Degrees outside [0, top_degree] simply yield the trivial group.
-    """
-    if n < 0 or n > c.top_degree or c.rank(n) == 0:
-        return FgAbGroup.trivial()
+def _reduce(c: ChainComplex, n: int) -> FgAbGroup:
+    """ker(d_n) / im(d_{n+1}) in canonical form, for a degree n with cells."""
     kernel = kernel_basis(c.boundary(n))
     if kernel.cols == 0:
         return FgAbGroup.trivial()
@@ -163,10 +163,14 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
     return cokernel(presentation)
 
 
-def homology_range(c: ChainComplex) -> GradedGroups:
-    """All reduced homology groups of `c` as a graded family."""
-    top = c.top_degree
-    return GradedGroups.of(0, top, {n: homology(c, n) for n in range(top + 1)})
+def homology(c: ChainComplex, n: int) -> FgAbGroup:
+    """ker(d_n) / im(d_{n+1}) in canonical form; reduced by convention.
+
+    Read off ``c.graded_homology``: the first call on a complex reduces
+    every degree, later calls reduce nothing.  Degrees outside
+    [0, top_degree] yield the trivial group.
+    """
+    return c.graded_homology.group_at(n)
 
 
 def cohomology_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
@@ -271,10 +275,8 @@ def connectivity_bounds(c: ChainComplex) -> tuple[int | None, int]:
     This is the homological stand-in for connectivity and dimension; it
     cannot certify simple connectivity, which callers must assert.
     """
-    for n in range(c.top_degree + 1):
-        if not homology(c, n).is_trivial():
-            return n, c.top_degree
-    return None, c.top_degree
+    degrees = c.graded_homology.entries
+    return (min(degrees) if degrees else None), c.top_degree
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +315,10 @@ def complex_from_json(data: object) -> ChainComplex:
     if not isinstance(raw_ranks, dict) or not isinstance(raw_bnd, dict):
         raise InvalidComplexError('"ranks" and "boundaries" must be objects')
     _json_ints(raw_ranks.values(), "ranks")
-    try:
-        ranks = {int(k): v for k, v in raw_ranks.items()}
-    except ValueError:
-        raise InvalidComplexError("ranks must map integer degrees to integers") from None
+    ranks = {canonical_int(k, "degree", InvalidComplexError): v for k, v in raw_ranks.items()}
     boundaries = {}
     for k, rows in raw_bnd.items():
-        try:
-            n = int(k)
-        except ValueError:
-            raise InvalidComplexError(f"bad boundary degree {k!r}") from None
+        n = canonical_int(k, "degree", InvalidComplexError)
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise InvalidComplexError(f"boundary {k!r} must be a list of rows")
         _json_ints((x for row in rows for x in row), f"boundary {k!r} entries")

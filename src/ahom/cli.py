@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .abelian import FgAbGroup, PrimeSet, parse_group
+from .abelian import FgAbGroup, PrimeSet, canonical_int, parse_group
 from .ahomology import a_homology_range, check_suspension_axiom, check_wedge_axiom, render_report, report_to_json
 from .chains import cohomology_uct, homology
 from .corpus import run_all
@@ -144,10 +144,7 @@ def _cmd_moore_ses(args) -> int:
 
 
 def _parse_primes(text: str) -> PrimeSet:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"bad prime list {text!r}") from None
+    values = [canonical_int(tok.strip(), "prime") for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty prime list")
     return PrimeSet.of(*values)

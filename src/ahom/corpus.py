@@ -35,6 +35,7 @@ from .federer import (
     OUT_OF_RANGE,
     RELATIVE,
     SET_VALUED,
+    TABLE_START,
     UPPER_BOUND,
     ZERO,
     HomotopyTable,
@@ -112,9 +113,8 @@ def random_complex(rng: random.Random, max_top: int = 5, max_rank: int = 5,
 
 def random_table(rng: random.Random, variant: str = ABSOLUTE, q_max: int = 8,
                  max_order: int = 24) -> HomotopyTable:
-    start = 1 if variant == ABSOLUTE else 2
     groups = {q: random_group(rng, max_rank=1, max_factors=2, max_order=max_order)
-              for q in range(start, q_max + 1)}
+              for q in range(TABLE_START[variant], q_max + 1)}
     return HomotopyTable(variant, groups, abelian_assumption=True)
 
 

@@ -31,6 +31,7 @@ from .abelian import (
     FgAbGroup,
     GroupParseError,
     PrimeSet,
+    canonical_int,
     direct_sum,
     exponent,
     ext,
@@ -44,6 +45,8 @@ from .spaces import is_suspension_shaped
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
+# first table degree of each variant; also where its page converges
+TABLE_START = {ABSOLUTE: 1, RELATIVE: 2}
 
 EXACT = "exact"
 UPPER_BOUND = "subgroup_upper_bound"
@@ -80,19 +83,18 @@ class HomotopyTable:
     abelian_assumption: bool
 
     def __post_init__(self):
-        if self.variant not in (ABSOLUTE, RELATIVE):
+        if self.variant not in TABLE_START:
             raise ValueError(f"unknown table variant {self.variant!r}")
         if not self.entries:
             raise ValueError("homotopy table must not be empty")
-        start = 1 if self.variant == ABSOLUTE else 2
         keys = sorted(self.entries)
-        if keys != list(range(start, keys[-1] + 1)):
+        if keys != list(range(self.q_min, keys[-1] + 1)):
             raise ValueError(
-                f"{self.variant} table must cover a contiguous range starting at {start}")
+                f"{self.variant} table must cover a contiguous range starting at {self.q_min}")
 
     @property
     def q_min(self) -> int:
-        return 1 if self.variant == ABSOLUTE else 2
+        return TABLE_START[self.variant]
 
     @property
     def q_max(self) -> int:
@@ -101,8 +103,7 @@ class HomotopyTable:
     @classmethod
     def constant(cls, variant: str, group: FgAbGroup, q_max: int,
                  abelian: bool = True) -> "HomotopyTable":
-        start = 1 if variant == ABSOLUTE else 2
-        return cls(variant, {q: group for q in range(start, q_max + 1)}, abelian)
+        return cls(variant, {q: group for q in range(TABLE_START[variant], q_max + 1)}, abelian)
 
 
 @dataclass(frozen=True)
@@ -144,16 +145,15 @@ def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> Bigra
             f"refused: the table does not assert that {fundamental} is abelian, "
             "which the page construction requires and cannot verify")
     dim_a = a.top_degree
-    support_min = 1 if variant == ABSOLUTE else 2
     entries: dict[tuple[int, int], PageEntry] = {}
     for p in range(-dim_a, 0):
         for q in range(table.q_min, table.q_max + 1):
             total = p + q
-            if total < support_min - 1:
+            if total < table.q_min - 1:
                 entries[(p, q)] = _ZERO_ENTRY
             else:
                 group = cohomology_uct(a, -p, table.entries[q])
-                if total >= support_min:
+                if total >= table.q_min:
                     entries[(p, q)] = PageEntry(group, EXACT)
                 else:
                     entries[(p, q)] = PageEntry(
@@ -202,7 +202,7 @@ class DiagonalVerdict:
 
 
 def collapse_report(page: BigradedPage, n: int) -> DiagonalVerdict:
-    threshold = 1 if page.variant == ABSOLUTE else 2
+    threshold = TABLE_START[page.variant]
     if n < threshold:
         return DiagonalVerdict(
             n, (), OUT_OF_RANGE, None,
@@ -438,10 +438,7 @@ def homotopy_table_from_json(data: object) -> HomotopyTable:
         raise ValueError('"pi" must map degrees to group strings')
     groups = {}
     for key, text in pi.items():
-        try:
-            q = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad degree {key!r} in table") from None
+        q = canonical_int(key, "table degree")
         if not isinstance(text, str):
             raise ValueError(f"group for q = {q} must be a string")
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, GroupParseError, IntMatrix, parse_group
+from .abelian import FgAbGroup, GroupParseError, IntMatrix, canonical_int, parse_group
 from .chains import ChainComplex, load_complex
 
 SPHERE = "sphere"
@@ -67,9 +67,9 @@ def parse_recipe(text: str) -> SpaceRecipe:
     if not sep:
         raise RecipeError(f"recipe {text!r} needs a ':'")
     if kind == "sphere":
-        return SpaceRecipe.sphere(_int_arg(text, rest))
+        return SpaceRecipe.sphere(canonical_int(rest, "sphere dimension", RecipeError))
     if kind == "rp":
-        return SpaceRecipe.projective(_int_arg(text, rest))
+        return SpaceRecipe.projective(canonical_int(rest, "rp dimension", RecipeError))
     if kind == "moore":
         group_text, sep2, m_text = rest.rpartition(":")
         if not sep2:
@@ -77,18 +77,11 @@ def parse_recipe(text: str) -> SpaceRecipe:
         try:
             group = parse_group(group_text)
         except GroupParseError as exc:
-            raise RecipeError(f"recipe {text!r}: {exc}") from None
-        return SpaceRecipe.moore(group, _int_arg(text, m_text))
+            raise RecipeError(f"moore recipe: {exc}") from None
+        return SpaceRecipe.moore(group, canonical_int(m_text, "moore degree", RecipeError))
     if kind == "file":
         return SpaceRecipe.file(rest)
     raise RecipeError(f"unknown recipe kind {kind!r}")
-
-
-def _int_arg(recipe: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise RecipeError(f"recipe {recipe!r}: {text!r} is not an integer") from None
 
 
 def build(recipe: SpaceRecipe) -> ChainComplex:

@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ahom.abelian import FgAbGroup, IntMatrix, direct_sum
+from ahom import chains
+from ahom.abelian import FgAbGroup, IntMatrix, cokernel, direct_sum, kernel_basis, solve
 from ahom.chains import (
     ChainComplex,
     DSquaredError,
@@ -16,10 +19,8 @@ from ahom.chains import (
     complex_to_json,
     connectivity_bounds,
     homology,
-    homology_range,
     load_complex,
     suspension,
-    validate,
     wedge,
 )
 from ahom.corpus import random_complex, random_group
@@ -31,12 +32,6 @@ TRIVIAL = FgAbGroup.trivial()
 
 
 class TestValidation:
-    def test_sphere_is_valid(self):
-        validate(sphere(4))
-
-    def test_projective_plane_is_valid(self):
-        validate(projective(2))
-
     def test_d_squared_violation(self):
         with pytest.raises(DSquaredError, match="degree 2"):
             ChainComplex("bad", {0: 1, 1: 1, 2: 1},
@@ -112,6 +107,54 @@ class TestHomology:
             betti = sum((-1) ** n * homology(c, n).free_rank
                         for n in range(c.top_degree + 1))
             assert cells == betti
+
+
+def fresh_homology(c: ChainComplex, n: int) -> FgAbGroup:
+    """ker(d_n) / im(d_(n+1)) reduced from scratch for this one degree."""
+    if n < 0 or c.rank(n) == 0:
+        return TRIVIAL
+    kernel = kernel_basis(c.boundary(n))
+    return cokernel(solve(kernel, c.boundary(n + 1)))
+
+
+class TestGradedHomologyCache:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_equals_fresh_per_degree_reduction(self, seed):
+        c = random_complex(random.Random(seed))
+        fresh = {n: fresh_homology(c, n) for n in range(c.top_degree + 1)}
+        assert c.graded_homology.entries == {n: g for n, g in fresh.items() if g != TRIVIAL}
+        assert (c.graded_homology.lo, c.graded_homology.hi) == (0, c.top_degree)
+        for n in range(-1, c.top_degree + 3):
+            assert homology(c, n) == fresh_homology(c, n)
+
+    def test_read_complex_equals_fresh_copy(self):
+        rng = random.Random(31)
+        for i in range(10):
+            c = random_complex(rng, name=f"cc{i}")
+            for n in range(c.top_degree + 1):
+                homology(c, n)
+            copy = complex_from_json(complex_to_json(c))
+            assert "graded_homology" not in vars(copy)
+            assert copy == c and c == copy
+            assert copy.graded_homology == c.graded_homology
+
+    def test_second_call_does_no_reduction(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return kernel_basis(m)
+
+        monkeypatch.setattr(chains, "kernel_basis", counting)
+        c = projective(6)
+        assert homology(c, 3) == Z2
+        first = len(calls)
+        assert first > 0
+        assert homology(c, 3) == Z2
+        assert homology(c, 5) == Z2
+        assert cohomology_uct(c, 4, Z) == Z2
+        assert len(calls) == first
 
 
 class TestCohomology:
@@ -209,7 +252,7 @@ class TestConstructions:
         assert connectivity_bounds(s_zero()) == (0, 0)
 
     def test_graded_groups(self):
-        gg = homology_range(projective(3))
+        gg = projective(3).graded_homology
         assert gg.group_at(1) == Z2
         assert gg.group_at(2) == TRIVIAL
         assert gg.group_at(3) == Z

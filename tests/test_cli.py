@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -158,6 +159,51 @@ class TestExitCodes:
         code, out, err = run(capsys, "homology", "--X", f"file:{path}")
         assert (code, out) == (2, "")
         assert "JSON integer" in err and shown in err
+
+    @pytest.mark.parametrize("argv, shown", [
+        (("homology", "--X", "sphere:1_0"), "'1_0'"),
+        (("homology", "--X", "sphere:\u0663"), "'\u0663'"),
+        (("hopf-whitney", "--K", "sphere:3", "--pi", "Z/1_2"), "'1_2'"),
+        (("torsion-check", "--A", "rp:2", "--table", "{table}", "--primes", "2,0_3"), "'0_3'"),
+    ], ids=["sphere-underscore", "sphere-arabic-digit", "cyclic-underscore", "prime-underscore"])
+    def test_non_canonical_argument_is_two(self, capsys, table_file, argv, shown):
+        code, out, err = run(capsys, *(a.replace("{table}", table_file) for a in argv))
+        assert (code, out) == (2, "")
+        assert shown in err and "canonical" in err
+
+    @pytest.mark.parametrize("ranks, shown", [
+        ({"1_0": 1}, "'1_0'"),
+        ({"2": 1, "02": 3}, "'02'"),
+    ], ids=["underscore", "leading-zero"])
+    def test_non_canonical_complex_degree_is_two(self, capsys, tmp_path, ranks, shown):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"reduced": True, "ranks": ranks, "boundaries": {}}))
+        code, out, err = run(capsys, "homology", "--X", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert shown in err and "canonical" in err
+
+    @pytest.mark.parametrize("key, meant", [("0_3", "3"), (" 4", "4")])
+    def test_non_canonical_table_degree_is_two(self, capsys, tmp_path, key, meant):
+        pi = {"1": "Z", "2": "Z", "3": "Z", "4": "Z"}
+        pi[key] = pi.pop(meant)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"variant": "absolute", "abelian": True, "pi": pi}))
+        code, out, err = run(capsys, "federer-e2", "--A", "rp:2", "--table", str(path))
+        assert (code, out) == (2, "")
+        assert repr(key) in err and "canonical" in err
+
+    def test_integer_past_the_digit_limit_is_two(self, capsys):
+        code, out, err = run(capsys, "hopf-whitney", "--K", "sphere:3",
+                             "--pi", "Z/" + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert str(sys.get_int_max_str_digits()) in err
+        assert "99" not in err and len(err) < 200
+
+    def test_whitespace_around_separators_is_allowed(self, capsys, table_file):
+        code, out, _ = run(capsys, "torsion-check", "--A", "moore: Z/2 + Z/4 :2",
+                           "--table", table_file, "--primes", " 2 , 3 ")
+        assert code == 0
+        assert "primes = {2, 3}" in out
 
     def test_unknown_verb_is_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
