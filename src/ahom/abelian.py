@@ -9,8 +9,9 @@ point and no modular shortcut anywhere.  The two central objects are
   (free rank plus an invariant-factor divisor chain), so that two groups are
   isomorphic exactly when they compare equal.
 
-On top of those sit the Smith normal form (:func:`snf`), the lattice
-utilities derived from it (kernels, column spans, exact linear solving), and
+On top of those sit the column Hermite form and the lattice utilities built
+on it (kernels, column spans, exact linear solving), the Smith normal form
+(:func:`snf`, certified or transform-free for :func:`cokernel`), and
 the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
 every homology computation downstream.
 
@@ -23,6 +24,7 @@ Z/2
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -129,7 +131,7 @@ class IntMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols_t = list(zip(*other.entries)) if other.rows and other.cols else []
         out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols_t)
+            tuple(sum(map(operator.mul, row, col)) for col in cols_t)
             if cols_t else (0,) * other.cols
             for row in self.entries)
         return IntMatrix(self.rows, other.cols, out)
@@ -213,7 +215,8 @@ class SmithDecomposition:
     """Certificate U @ source @ V == S with U, V unimodular and S diagonal.
 
     The diagonal of S is nonnegative, each entry divides the next, and all
-    zero entries trail the nonzero ones.
+    zero entries trail the nonzero ones.  U and V are empty (rows x 0 and
+    0 x cols) when :func:`snf` ran without a certificate.
     """
 
     U: IntMatrix
@@ -231,42 +234,37 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _off_diagonal_zero(m: IntMatrix) -> bool:
-    return all(x == 0
-               for i, row in enumerate(m.entries)
-               for j, x in enumerate(row)
-               if i != j)
+def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
+    """Smith normal form, with its certificate unless `certificate` is False.
 
+    Alternates column and row Hermite passes until the matrix is diagonal
+    (the Kannan-Bachem scheme).  Column operations go straight to the
+    running V, row operations to U transposed, so no transform product is
+    formed; Hermite steps keep the entries determinant-bounded.  Without a
+    certificate the transforms have zero rows, cost nothing, and U and V
+    come back empty (rows x 0 and 0 x cols); :func:`cokernel` runs so.
 
-def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms.
-
-    Alternates reduced column and row Hermite passes until the matrix is
-    diagonal (the classical Kannan-Bachem scheme).  Each pass applies its
-    operations directly to the running transform (V, or U transposed), so
-    no transform product is ever formed.  The Hermite reduction keeps every
-    intermediate entry determinant-bounded, unlike one-pivot-at-a-time
-    elimination whose entries can explode.
-
-    The divisor chain is then closed in a single pass over the diagonal:
-    each pair (a, b) with a not dividing b is mapped to (gcd, lcm) by one
-    2x2 unimodular transform on U and V.  There is no round cap; the
-    procedure is deterministic.
+    The divisor chain is then closed in one pass: each pair (a, b) with a
+    not dividing b becomes (gcd, lcm) by one 2x2 unimodular transform on U
+    and V.  There is no round cap.
     """
     rows, cols = m.rows, m.cols
-    a, v, ut = m, IntMatrix.identity(cols), IntMatrix.identity(rows)
+    start = IntMatrix.identity if certificate else lambda n: IntMatrix(0, n, ())
+    a, v, ut = m, start(cols), start(rows)
     while True:
         a, v = column_echelon(a, v)
         at, ut = column_echelon(a.transpose(), ut)
         a = at.transpose()
-        if _off_diagonal_zero(a):
+        if all(x == 0 for i, row in enumerate(a.entries) for j, x in enumerate(row) if i != j):
             break
     # both echelon passes sort zero columns/rows to the back and make pivots
     # positive, so the diagonal is a positive prefix followed by zeros
     diag = [a.entries[i][i] for i in range(min(rows, cols))]
-    urows = [list(c) for c in zip(*ut.entries)]
-    vcols = [list(c) for c in zip(*v.entries)]
+    urows = [list(c) for c in zip(*ut.entries)] or [[]] * rows
+    vcols = [list(c) for c in zip(*v.entries)] or [[]] * cols
     for i in range(len(diag)):
+        if diag[i] < 2:  # 0 and 1 are never changed by a pair
+            continue
         for j in range(i + 1, len(diag)):
             x, y = diag[i], diag[j]
             if not x or not y % x:
@@ -286,9 +284,9 @@ def snf(m: IntMatrix) -> SmithDecomposition:
             vcols[j] = [s * p * f - t * q * e for e, f in zip(vi, vj)]
             diag[i], diag[j] = g, x * q
     return SmithDecomposition(
-        U=IntMatrix(rows, rows, tuple(tuple(r) for r in urows)),
+        U=IntMatrix(rows, ut.rows, tuple(tuple(r) for r in urows)),
         S=IntMatrix.diagonal(diag, rows, cols),
-        V=IntMatrix(cols, cols, tuple(zip(*vcols))),
+        V=IntMatrix(v.rows, cols, tuple(zip(*vcols))),
         source=m)
 
 
@@ -551,8 +549,9 @@ def _summand_int(token: str, what: str, least: int) -> int:
 # ---------------------------------------------------------------------------
 
 def cokernel(m: IntMatrix) -> FgAbGroup:
-    """Z^rows / (column span of m), in canonical form."""
-    dec = snf(m)
+    """Z^rows / (column span of m), in canonical form: one :func:`snf`
+    without a certificate, so no transform work is done."""
+    dec = snf(m, certificate=False)
     return FgAbGroup.of(m.rows - dec.rank, (d for d in dec.diagonal if d > 1))
 
 
@@ -597,39 +596,30 @@ def exponent(g: FgAbGroup) -> int | float:
     return g.invariant_factors[-1]
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.add(n)
-    return out
+PRIME_LIMIT = 2 ** 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    """Miller-Rabin on the first twelve prime bases, exact for n < 2^64."""
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _WITNESSES)
 
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """A finite set of primes; membership is validated at construction."""
+    """A finite set of primes below 2^64; membership is validated at construction."""
 
     primes: frozenset[int]
 
     def __post_init__(self):
         for p in self.primes:
+            if p >= PRIME_LIMIT:
+                raise ValueError(f"prime of {len(str(p))} digits is past the limit 2^64")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
@@ -637,21 +627,22 @@ class PrimeSet:
     def of(cls, *primes: int) -> "PrimeSet":
         return cls(frozenset(primes))
 
-    def issuperset(self, other: "PrimeSet") -> bool:
-        return self.primes >= other.primes
-
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in sorted(self.primes)) + "}"
 
 
-def torsion_primes(g: FgAbGroup) -> PrimeSet:
-    """The set of primes dividing some invariant factor of g."""
-    out: set[int] = set()
-    for d in g.invariant_factors:
-        out |= _prime_factors(d)
-    return PrimeSet(frozenset(out))
-
-
 def in_class(g: FgAbGroup, p: PrimeSet) -> bool:
-    """True when g is torsion and all its torsion primes lie in p."""
-    return g.free_rank == 0 and p.issuperset(torsion_primes(g))
+    """True when g is torsion and all its torsion primes lie in p.
+
+    Dividing each invariant factor by the primes of p while they divide it
+    reaches 1 exactly in the class; nothing is factored.
+    """
+    if g.free_rank:
+        return False
+    for d in g.invariant_factors:
+        for q in p.primes:
+            while d % q == 0:
+                d //= q
+        if d != 1:
+            return False
+    return True

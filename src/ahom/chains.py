@@ -6,9 +6,9 @@ entry at degree 0) together with integer boundary matrices whose entries are
 the degrees of the attaching-map composites.  Degrees without cells are
 simply absent and mean rank 0.
 
-Integral homology takes Hermite reductions (kernel basis) and one Smith
-reduction (quotient presentation) per degree.  A complex reduces all its
-degrees once, on first use, and keeps the result as
+Integral homology takes one invariants-only Smith reduction per boundary
+matrix: H_n is coker(d_(n+1)) less rank(d_n) free summands.  A complex
+reduces each boundary once, on first use, and keeps the result as
 :attr:`ChainComplex.graded_homology`; :func:`homology` and everything built
 on it read that value.  Cohomology with coefficients in a finitely
 generated group is available through two independent routes that must agree:
@@ -114,12 +114,22 @@ class ChainComplex:
 
     @cached_property
     def graded_homology(self) -> GradedGroups:
-        """All reduced homology groups, from one reduction of each degree.
+        """All reduced homology groups, from one reduction of each boundary.
 
-        Computed on first use and kept on the instance; it is derived from
-        the fields, so equality and the file form ignore it.
+        Since im(d_n) is free, ker(d_n) is a direct summand of C_n holding
+        im(d_(n+1)), so coker(d_(n+1)) = H_n + Z^(rank d_n): H_n keeps the
+        torsion of that cokernel and rank d_n fewer free summands, where
+        rank d_n = c_(n-1) - free rank of coker(d_n).  Computed on first
+        use and kept on the instance; it is derived from the fields, so
+        equality and the file form ignore it.
         """
-        return GradedGroups.of(0, self.top_degree, {n: _reduce(self, n) for n in self.ranks})
+        cokernels = {n: cokernel(self.boundaries[n + 1]) if n + 1 in self.boundaries
+                     else FgAbGroup.free(r) for n, r in self.ranks.items()}
+        none = FgAbGroup.trivial()
+        return GradedGroups.of(0, self.top_degree, {
+            n: FgAbGroup(g.free_rank - self.rank(n - 1) + cokernels.get(n - 1, none).free_rank,
+                         g.invariant_factors)
+            for n, g in cokernels.items()})
 
 
 TRIVIAL_COMPLEX = ChainComplex("pt", {}, {})
@@ -152,22 +162,11 @@ class GradedGroups:
 # Homology and cohomology
 # ---------------------------------------------------------------------------
 
-def _reduce(c: ChainComplex, n: int) -> FgAbGroup:
-    """ker(d_n) / im(d_{n+1}) in canonical form, for a degree n with cells."""
-    kernel = kernel_basis(c.boundary(n))
-    if kernel.cols == 0:
-        return FgAbGroup.trivial()
-    presentation = solve(kernel, c.boundary(n + 1))
-    if presentation is None:  # impossible once d*d = 0 holds
-        raise InvalidComplexError(f"image at degree {n + 1} escapes the kernel")
-    return cokernel(presentation)
-
-
 def homology(c: ChainComplex, n: int) -> FgAbGroup:
     """ker(d_n) / im(d_{n+1}) in canonical form; reduced by convention.
 
     Read off ``c.graded_homology``: the first call on a complex reduces
-    every degree, later calls reduce nothing.  Degrees outside
+    every boundary matrix, later calls reduce nothing.  Degrees outside
     [0, top_degree] yield the trivial group.
     """
     return c.graded_homology.group_at(n)

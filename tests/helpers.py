@@ -8,7 +8,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
-from ahom.abelian import FgAbGroup, IntMatrix
+from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet
 
 
 def elements(g: FgAbGroup):
@@ -79,6 +79,29 @@ def prime_power_group(free_rank: int, orders) -> FgAbGroup:
         for k, e in enumerate(sorted(v, reverse=True)):
             factors[depth - 1 - k] *= e
     return FgAbGroup(free_rank, tuple(factors))
+
+
+def prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial division."""
+    out = set()
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def torsion_primes(g: FgAbGroup) -> PrimeSet:
+    """The set of primes dividing some invariant factor of g."""
+    out: set[int] = set()
+    for d in g.invariant_factors:
+        out |= prime_factors(d)
+    return PrimeSet(frozenset(out))
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahom.abelian import (
+    PRIME_LIMIT,
     FgAbGroup,
     GroupParseError,
     IntMatrix,
@@ -20,11 +21,20 @@ from ahom.abelian import (
     in_class,
     kernel_basis,
     parse_group,
+    _is_prime,
     snf,
     solve,
+)
+from ahom.corpus import random_matrix
+from helpers import (
+    brute_ext_order,
+    brute_hom_order,
+    divides,
+    invert_unimodular,
+    prime_factors,
+    prime_power_group,
     torsion_primes,
 )
-from helpers import brute_ext_order, brute_hom_order, divides, invert_unimodular, prime_power_group
 
 Z = FgAbGroup.free(1)
 TRIVIAL = FgAbGroup.trivial()
@@ -207,6 +217,28 @@ class TestCokernel:
             checked += 1
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 8))
+    def test_equals_certified_diagonal(self, seed, max_dim):
+        # small max_dim makes 0-row and 0-column shapes common
+        m = random_matrix(random.Random(seed), max_dim=max_dim)
+        dec = snf(m)
+        assert_valid_snf(dec)
+        assert cokernel(m) == FgAbGroup.of(m.rows - dec.rank, dec.diagonal[:dec.rank])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 8))
+    def test_uncertified_snf_has_the_certified_form(self, seed, max_dim):
+        m = random_matrix(random.Random(seed), max_dim=max_dim)
+        bare = snf(m, certificate=False)
+        assert bare.S == snf(m).S and bare.source is m
+        assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (m.rows, 0, 0, m.cols)
+
+    def test_empty_shapes(self):
+        for r, c in [(0, 0), (0, 4), (4, 0)]:
+            assert cokernel(IntMatrix.zeros(r, c)) == FgAbGroup.free(r)
+
+
 class TestFgAbGroup:
     def test_canonical_validation(self):
         with pytest.raises(ValueError):
@@ -347,10 +379,41 @@ class TestExponentAndTorsion:
         with pytest.raises(ValueError):
             PrimeSet.of(1)
 
+    def test_is_prime_matches_trial_division(self):
+        for n in range(-3, 5000):
+            assert _is_prime(n) == (n >= 2 and prime_factors(n) == {n}), n
+
+    def test_is_prime_on_strong_pseudoprimes(self):
+        # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+        assert not _is_prime(3215031751)
+        assert not _is_prime(3825123056546413051)
+        assert _is_prime(1000000000000000003)
+        assert _is_prime(PRIME_LIMIT - 59)  # the largest prime below 2^64
+        assert not _is_prime(PRIME_LIMIT - 1)
+
+    def test_prime_set_limit(self):
+        assert PrimeSet.of(PRIME_LIMIT - 59).primes == {PRIME_LIMIT - 59}
+        for p in (PRIME_LIMIT, 2**89 - 1):
+            with pytest.raises(ValueError, match=r"2\^64"):
+                PrimeSet.of(p)
+
     def test_in_class(self):
         assert in_class(FgAbGroup.cyclic(4), PrimeSet.of(2))
         assert not in_class(Z, PrimeSet.of(2, 3))
         assert in_class(TRIVIAL, PrimeSet.of())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2), st.lists(st.integers(2, 400), max_size=4),
+           st.sets(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=3))
+    def test_in_class_matches_factoring_oracle(self, rank, orders, primes):
+        g, p = FgAbGroup.of(rank, orders), PrimeSet(frozenset(primes))
+        assert in_class(g, p) == (rank == 0 and p.primes >= torsion_primes(g).primes)
+
+    def test_in_class_on_a_huge_factor(self):
+        g = FgAbGroup.cyclic(2 * 1000000000000000003)
+        assert not in_class(g, PrimeSet.of(2))
+        assert in_class(g, PrimeSet.of(2, 1000000000000000003))
+        assert in_class(FgAbGroup.cyclic(2**4000), PrimeSet.of(2))
 
     def test_in_class_closure(self):
         rng = random.Random(37)

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +206,25 @@ class TestExitCodes:
         assert code == 0
         assert "primes = {2, 3}" in out
 
+    def test_huge_torsion_factor_is_decided_without_factoring(self, capsys, table_file):
+        # 2000000000000000006 = 2 * 1000000000000000003, a prime near 2^60
+        code, out, _ = run(capsys, "torsion-check", "--A", "moore:Z/2000000000000000006:2",
+                           "--table", table_file, "--primes", "2")
+        assert code == 0
+        assert "fails at degree(s) 2" in out
+
+    def test_large_prime_is_accepted(self, capsys, table_file):
+        code, out, _ = run(capsys, "torsion-check", "--A", "rp:2",
+                           "--table", table_file, "--primes", "1000000000000000003")
+        assert code == 0
+        assert "primes = {1000000000000000003}" in out
+
+    def test_prime_past_the_limit_is_two(self, capsys, table_file):
+        code, out, err = run(capsys, "torsion-check", "--A", "rp:2",
+                             "--table", table_file, "--primes", str(2**89 - 1))
+        assert (code, out) == (2, "")
+        assert "2^64" in err
+
     def test_unknown_verb_is_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
@@ -231,3 +251,22 @@ class TestDeterminismAndRoundTrip:
                             "--table", table_file, "--out", "json")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestRepeatedCalls:
+    """Consecutive main() calls in one process are independent."""
+
+    def test_options_do_not_leak(self, capsys):
+        code, out, _ = run(capsys, "homology", "--X", "rp:4", "--degree", "2")
+        assert (code, out) == (0, "H_2(rp:4) = 0\n")
+        code, out, _ = run(capsys, "homology", "--X", "rp:4")
+        assert code == 0
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [
+            f"H_{n}(rp:4)" for n in range(5)]
+
+    def test_rejected_call_leaves_no_trace(self, capsys):
+        code, out, _ = run(capsys, "homology", "--X", "rp:6", "--degree", "two", "--out", "json")
+        assert (code, out) == (2, "")
+        code, out, err = run(capsys, "homology", "--X", "rp:6", "--out", "json")
+        assert (code, err) == (0, "")
+        assert out == (Path(__file__).parent / "golden" / "homology-json.out").read_text()
