@@ -162,18 +162,6 @@ class IntMatrix:
             j0 += b.cols
         return cls(rows, cols, tuple(tuple(r) for r in out))
 
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        """Kronecker product: each entry a_ij becomes the block a_ij * other."""
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                out.append(tuple(self.entries[i][j] * other.entries[k][l]
-                                 for j in range(self.cols)
-                                 for l in range(other.cols)))
-        return IntMatrix(rows, cols, tuple(out))
-
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -199,11 +187,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<{self.rows}x{self.cols}>"
-        return "\n".join(" ".join(f"{x:4d}" for x in row) for row in self.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ reduces each boundary once, on first use, and keeps the result as
 on it read that value.  Cohomology with coefficients in a finitely
 generated group is available through two independent routes that must agree:
 :func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology,
-while :func:`cohomology_direct` reduces the actual cochain complex of
-finitely presented groups and never looks at the integral answer.
+while :func:`cohomology_direct` reduces the actual cochain complex and never
+looks at the integral answer.  It takes the coefficients one cyclic summand
+at a time, each presented by scalar relations on the cochain generators.
 """
 
 from __future__ import annotations
@@ -177,16 +178,6 @@ def cohomology_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     return direct_sum([hom(homology(c, n), g), ext(homology(c, n - 1), g)])
 
 
-def _group_relations(g: FgAbGroup) -> IntMatrix:
-    """Relation matrix of the free presentation Z^s -> g (s generators)."""
-    s = g.free_rank + len(g.invariant_factors)
-    t = len(g.invariant_factors)
-    return IntMatrix.from_rows(
-        [[g.invariant_factors[j] if i == g.free_rank + j else 0 for j in range(t)]
-         for i in range(s)],
-        cols=t)
-
-
 def _presented_subquotient(alpha: IntMatrix, beta: IntMatrix,
                            rel_prev: IntMatrix, rel_mid: IntMatrix,
                            rel_next: IntMatrix) -> FgAbGroup:
@@ -218,24 +209,24 @@ def _presented_subquotient(alpha: IntMatrix, beta: IntMatrix,
 def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     """H^n(c; g) computed from the honest cochain complex of g-valued cochains.
 
-    Cochains in degree k form g^(ranks k); the coboundary is the transpose
-    of the boundary acting coordinate-wise.  Everything is lifted to free
-    presentations and reduced exactly, with no use of the Hom/Ext shortcut.
+    Hom(C_k, -) is additive, so the complex splits over the cyclic summands
+    Z/d of g.  Each presents its k-cochains by the scalar relations d*I on
+    the ranks(k) generators (none for Z, d = 0), with coboundaries d_k^T:
+    one subquotient is reduced for the free part and one per invariant
+    factor.  The Hom/Ext shortcut is never used.
     """
-    m_mid = c.rank(n)
-    if m_mid == 0 or g.is_trivial():
+    if c.rank(n) == 0 or g.is_trivial():
         return FgAbGroup.trivial()
-    s = g.free_rank + len(g.invariant_factors)
-    rel = _group_relations(g)
-    m_prev = c.rank(n - 1)
-    m_next = c.rank(n + 1)
-    alpha = c.boundary(n).transpose().kron(IntMatrix.identity(s))
-    beta = c.boundary(n + 1).transpose().kron(IntMatrix.identity(s))
-    return _presented_subquotient(
-        alpha, beta,
-        IntMatrix.identity(m_prev).kron(rel),
-        IntMatrix.identity(m_mid).kron(rel),
-        IntMatrix.identity(m_next).kron(rel))
+    alpha = c.boundary(n).transpose()
+    beta = c.boundary(n + 1).transpose()
+
+    def summand(d: int) -> FgAbGroup:
+        rel = [IntMatrix.diagonal([d] * c.rank(k)) if d else IntMatrix.zeros(c.rank(k), 0)
+               for k in (n - 1, n, n + 1)]
+        return _presented_subquotient(alpha, beta, *rel)
+
+    free = [summand(0)] * g.free_rank if g.free_rank else []
+    return direct_sum(free + [summand(d) for d in g.invariant_factors])
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +249,10 @@ def wedge(cs: Sequence[ChainComplex]) -> ChainComplex:
     """One-point union: ranks add and boundaries become block-diagonal."""
     if not cs:
         return TRIVIAL_COMPLEX
-    degrees = sorted({n for c in cs for n in c.ranks})
-    ranks = {n: sum(c.rank(n) for c in cs) for n in degrees}
-    boundaries = {}
-    for n in degrees:
-        block = IntMatrix.block_diagonal([c.boundary(n) for c in cs])
-        boundaries[n] = block
+    ranks = {n: sum(c.rank(n) for c in cs) for n in sorted({n for c in cs for n in c.ranks})}
+    # a degree where no piece has a boundary stays absent, that is, zero
+    boundaries = {n: IntMatrix.block_diagonal([c.boundary(n) for c in cs])
+                  for n in sorted({n for c in cs for n in c.boundaries})}
     name = "wedge(" + ",".join(c.name for c in cs) + ")"
     return ChainComplex(name, ranks, boundaries)
 
@@ -281,17 +270,6 @@ def connectivity_bounds(c: ChainComplex) -> tuple[int | None, int]:
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
-
-def complex_to_json(c: ChainComplex) -> dict:
-    """The interchange form: degree-keyed ranks and row-major boundaries."""
-    return {
-        "name": c.name,
-        "reduced": True,
-        "ranks": {str(n): c.ranks[n] for n in sorted(c.ranks)},
-        "boundaries": {str(n): [list(row) for row in c.boundaries[n].entries]
-                       for n in sorted(c.boundaries)},
-    }
-
 
 def _json_ints(values, what: str) -> None:
     """Refuse any value that is not a JSON integer: floats, strings, booleans."""
@@ -329,10 +307,17 @@ def complex_from_json(data: object) -> ChainComplex:
     return ChainComplex(name, ranks, boundaries)
 
 
-def load_complex(path: str) -> ChainComplex:
+def read_json(path: str, error: type[ValueError] = ValueError) -> object:
+    """The JSON value in the file at `path`; text that is not JSON, or is
+    nested too deeply to read, raises `error` naming the cause."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InvalidComplexError(f"not valid JSON: {exc}") from None
-    return complex_from_json(data)
+            raise error(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise error("JSON nested too deeply to read") from None
+
+
+def load_complex(path: str) -> ChainComplex:
+    return complex_from_json(read_json(path, InvalidComplexError))

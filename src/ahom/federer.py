@@ -23,7 +23,6 @@ report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ from .abelian import (
     in_class,
     parse_group,
 )
-from .chains import ChainComplex, cohomology_uct, homology
+from .chains import ChainComplex, cohomology_uct, homology, read_json
 from .ahomology import a_homology
 from .spaces import is_suspension_shaped
 
@@ -99,11 +98,6 @@ class HomotopyTable:
     @property
     def q_max(self) -> int:
         return max(self.entries)
-
-    @classmethod
-    def constant(cls, variant: str, group: FgAbGroup, q_max: int,
-                 abelian: bool = True) -> "HomotopyTable":
-        return cls(variant, {q: group for q in range(TABLE_START[variant], q_max + 1)}, abelian)
 
 
 @dataclass(frozen=True)
@@ -449,12 +443,7 @@ def homotopy_table_from_json(data: object) -> HomotopyTable:
 
 
 def load_homotopy_table(path: str) -> HomotopyTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from None
-    return homotopy_table_from_json(data)
+    return homotopy_table_from_json(read_json(path))
 
 
 def _cell_text(entry: PageEntry) -> str:

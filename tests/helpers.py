@@ -1,20 +1,72 @@
 """Brute-force oracles and small utilities shared by the test modules.
 
-The oracles here enumerate group elements, factor orders or invert over the
-rationals, and never touch the Smith-form machinery they are used to check.
+The oracles here enumerate group elements or cochains, factor orders or
+invert over the rationals, and never touch the Smith-form machinery they are
+used to check.
 """
 
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
 from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet
+from ahom.chains import ChainComplex
+from ahom.federer import TABLE_START, HomotopyTable
 
 
 def elements(g: FgAbGroup):
     """All elements of a finite group as coordinate tuples."""
     assert g.is_finite()
     return product(*(range(d) for d in g.invariant_factors))
+
+
+def order_counts(g: FgAbGroup) -> Counter:
+    """How many elements of each order the finite group g has.
+
+    The counts determine a finite abelian group up to isomorphism.
+    """
+    return Counter(math.lcm(*(d // math.gcd(x, d) for x, d in zip(e, g.invariant_factors)))
+                   for e in elements(g))
+
+
+def brute_cohomology_orders(c: ChainComplex, n: int, g: FgAbGroup) -> Counter:
+    """Element orders of H^n(c; g) for finite g, from every g-valued cochain.
+
+    A k-cochain assigns an element of g to each k-cell, and its coboundary
+    sends a (k+1)-cell e to the sum of the values on the boundary of e.
+    H^n is read as the n-cocycles modulo the coboundaries of (n-1)-cochains,
+    one coset at a time.
+    """
+    orders = g.invariant_factors
+    values = list(elements(g))
+
+    def cochains(k):
+        return product(values, repeat=c.rank(k))
+
+    def coboundary(phi, k):
+        d = c.boundary(k + 1)
+        return tuple(tuple(sum(d.entries[i][j] * phi[i][t] for i in range(d.rows)) % orders[t]
+                           for t in range(len(orders)))
+                     for j in range(d.cols))
+
+    def add(phi, psi):
+        return tuple(tuple((a + b) % o for a, b, o in zip(x, y, orders))
+                     for x, y in zip(phi, psi))
+
+    zero = ((0,) * len(orders),) * c.rank(n + 1)
+    bounding = {coboundary(psi, n - 1) for psi in cochains(n - 1)}
+    counts: Counter = Counter()
+    seen: set = set()
+    for phi in cochains(n):
+        if phi in seen or coboundary(phi, n) != zero:
+            continue
+        seen.update(add(phi, b) for b in bounding)
+        multiple, k = phi, 1
+        while multiple not in bounding:
+            multiple, k = add(multiple, phi), k + 1
+        counts[k] += 1
+    return counts
 
 
 def brute_hom_order(g: FgAbGroup, h: FgAbGroup) -> int:
@@ -133,3 +185,21 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
             row.append(int(x))
         out.append(tuple(row))
     return IntMatrix(n, n, tuple(out))
+
+
+def complex_to_json(c: ChainComplex) -> dict:
+    """The interchange form: degree-keyed ranks and row-major boundaries."""
+    return {
+        "name": c.name,
+        "reduced": True,
+        "ranks": {str(n): c.ranks[n] for n in sorted(c.ranks)},
+        "boundaries": {str(n): [list(row) for row in c.boundaries[n].entries]
+                       for n in sorted(c.boundaries)},
+    }
+
+
+def constant_table(variant: str, group: FgAbGroup, q_max: int,
+                   abelian: bool = True) -> HomotopyTable:
+    """The table with pi_q = group for every q from the variant's start to q_max."""
+    return HomotopyTable(variant, {q: group for q in range(TABLE_START[variant], q_max + 1)},
+                         abelian)

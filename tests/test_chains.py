@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from ahom.chains import (
     cohomology_direct,
     cohomology_uct,
     complex_from_json,
-    complex_to_json,
     connectivity_bounds,
     homology,
     load_complex,
@@ -25,6 +26,7 @@ from ahom.chains import (
 )
 from ahom.corpus import random_complex, random_group
 from ahom.spaces import moore, projective, s_zero, sphere
+from helpers import brute_cohomology_orders, complex_to_json, order_counts
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -214,6 +216,30 @@ class TestCohomology:
             for n in range(0, c.top_degree + 2):
                 assert cohomology_uct(c, n, g) == cohomology_direct(c, n, g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           orders=st.lists(st.integers(2, 16), min_size=1, max_size=2)
+           .filter(lambda ds: math.prod(ds) <= 16))
+    def test_direct_matches_cochain_enumeration(self, seed, orders):
+        c = random_complex(random.Random(seed), max_top=3, max_rank=3)
+        g = FgAbGroup.of(0, orders)
+        for n in range(c.top_degree + 2):
+            assert order_counts(cohomology_direct(c, n, g)) == brute_cohomology_orders(c, n, g), \
+                (n, str(g), c.ranks, c.boundaries)
+
+    def test_direct_needs_no_integral_homology(self, monkeypatch):
+        g = FgAbGroup.of(1, [2, 6])
+        expected = [cohomology_uct(moore(FgAbGroup.of(1, [2, 4]), 2), n, g) for n in range(5)]
+
+        def refuse(*args):
+            raise AssertionError("the cochain route reached the Hom/Ext route")
+
+        for name in ("hom", "ext", "homology"):
+            monkeypatch.setattr(chains, name, refuse)
+        monkeypatch.setattr(ChainComplex, "graded_homology", property(refuse))
+        c = moore(FgAbGroup.of(1, [2, 4]), 2)
+        assert [cohomology_direct(c, n, g) for n in range(5)] == expected
+
 
 class TestConstructions:
     def test_suspension_of_sphere(self):
@@ -259,6 +285,17 @@ class TestConstructions:
             top = max([c.top_degree for c in cs], default=0)
             for n in range(top + 2):
                 assert homology(w, n) == direct_sum([homology(c, n) for c in cs])
+
+    def test_wedge_builds_no_zero_blocks(self):
+        c = ChainComplex("free", {1: 300, 2: 300}, {})
+        tracemalloc.start()
+        try:
+            w = wedge([c, c])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (w.ranks, w.boundaries) == ({1: 600, 2: 600}, {})
+        assert peak < 100_000
 
     def test_connectivity_bounds(self):
         assert connectivity_bounds(sphere(4)) == (4, 4)

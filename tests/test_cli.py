@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from ahom.chains import complex_to_json
 from ahom.cli import main
 from ahom.spaces import projective
+from helpers import complex_to_json
 
 
 @pytest.fixture
@@ -228,6 +228,17 @@ class TestExitCodes:
     def test_unknown_verb_is_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("homology", "--X", "file:{path}"),
+        ("federer-e2", "--A", "rp:2", "--table", "{path}"),
+    ], ids=["complex", "table"])
+    def test_deeply_nested_json_is_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err
 
     def test_help_is_zero(self, capsys):
         code, _, _ = run(capsys, "--help")

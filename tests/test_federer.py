@@ -34,6 +34,7 @@ from ahom.federer import (
 )
 from ahom.spaces import moore, projective, sphere
 from ahom.chains import suspension, wedge
+from helpers import constant_table
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -41,7 +42,7 @@ TRIVIAL = FgAbGroup.trivial()
 
 
 def table_z(q_max=6):
-    return HomotopyTable.constant(ABSOLUTE, Z, q_max)
+    return constant_table(ABSOLUTE, Z, q_max)
 
 
 class TestHomotopyTable:
@@ -91,7 +92,7 @@ class TestPageAssembly:
             assert page.entry(-1, q).group == TRIVIAL
 
     def test_projective_plane_mod_two_table(self):
-        page = federer_e2(projective(2), HomotopyTable.constant(ABSOLUTE, Z2, 5))
+        page = federer_e2(projective(2), constant_table(ABSOLUTE, Z2, 5))
         for q in range(1, 6):
             for p in (-1, -2):
                 if p + q >= 1:
@@ -108,7 +109,7 @@ class TestPageAssembly:
                 assert entry.status == EXACT
 
     def test_support_pattern_relative(self):
-        t = HomotopyTable.constant(RELATIVE, FgAbGroup.cyclic(4), 7)
+        t = constant_table(RELATIVE, FgAbGroup.cyclic(4), 7)
         page = relative_federer_e2(projective(2), t)
         for (p, q), entry in page.entries.items():
             if p + q <= 0:
@@ -121,13 +122,13 @@ class TestPageAssembly:
         assert page.entry(-2, 4).group == Z2  # Ext(Z/2, Z/4)
 
     def test_refuses_without_abelian_assumption(self):
-        t = HomotopyTable.constant(ABSOLUTE, Z, 4, abelian=False)
+        t = constant_table(ABSOLUTE, Z, 4, abelian=False)
         with pytest.raises(RefusedHypothesis, match="abelian"):
             federer_e2(projective(2), t)
 
     def test_variant_mismatch_is_value_error(self):
         with pytest.raises(ValueError):
-            federer_e2(projective(2), HomotopyTable.constant(RELATIVE, Z, 4))
+            federer_e2(projective(2), constant_table(RELATIVE, Z, 4))
         with pytest.raises(ValueError):
             relative_federer_e2(projective(2), table_z(4))
 
@@ -140,7 +141,7 @@ class TestPageAssembly:
         assert data["-2,2"]["status"] == "subgroup_upper_bound"
 
     def test_relative_must_die_in_json(self):
-        t = HomotopyTable.constant(RELATIVE, Z, 4)
+        t = constant_table(RELATIVE, Z, 4)
         data = page_to_json(relative_federer_e2(projective(2), t))
         assert data["-1,2"]["must_die"] is True
 
@@ -158,7 +159,7 @@ class TestCollapse:
             assert verdict.group == entries[n + m]
 
     def test_two_column_shape_gives_graded_bounds(self):
-        page = federer_e2(projective(2), HomotopyTable.constant(ABSOLUTE, Z2, 7))
+        page = federer_e2(projective(2), constant_table(ABSOLUTE, Z2, 7))
         verdict = collapse_report(page, 3)
         assert verdict.verdict == GRADED_UPPER_BOUNDS
         assert len(verdict.surviving) == 2
@@ -174,7 +175,7 @@ class TestCollapse:
         page = federer_e2(projective(2), table_z(5))
         assert collapse_report(page, 0).verdict == OUT_OF_RANGE
         rel = relative_federer_e2(projective(2),
-                                  HomotopyTable.constant(RELATIVE, Z, 5))
+                                  constant_table(RELATIVE, Z, 5))
         assert collapse_report(rel, 1).verdict == OUT_OF_RANGE
 
     def test_table_too_short_reported(self):
@@ -266,7 +267,7 @@ class TestMooreHomotopySes:
     def test_refusals_and_preconditions(self):
         with pytest.raises(ValueError):
             moore_homotopy_ses(Z2, 1, table_z(4), 0)
-        t = HomotopyTable.constant(ABSOLUTE, Z, 6, abelian=False)
+        t = constant_table(ABSOLUTE, Z, 6, abelian=False)
         with pytest.raises(RefusedHypothesis):
             moore_homotopy_ses(Z2, 1, t, 2)
 

@@ -61,7 +61,7 @@ class TestBuild:
     def test_build_from_file(self, tmp_path):
         import json
 
-        from ahom.chains import complex_to_json
+        from helpers import complex_to_json
         c = projective(2)
         path = tmp_path / "p2.json"
         path.write_text(json.dumps(complex_to_json(c)))
