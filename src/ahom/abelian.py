@@ -1,7 +1,9 @@
 """Exact arithmetic on integer matrices and finitely generated abelian groups.
 
 Everything here works with unbounded Python integers; there is no floating
-point and no modular shortcut anywhere.  The two central objects are
+point and no modular shortcut anywhere.  The one packed computation,
+:func:`composite_is_zero`, takes its digit width from the entry bounds, so it
+is exact, not modular.  The two central objects are
 
 * :class:`IntMatrix` -- an immutable integer matrix, the substrate for all
   boundary/relation data, and
@@ -24,9 +26,10 @@ Z/2
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -87,7 +90,7 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         """Build from a list of rows; `cols` disambiguates the 0-row case."""
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if data:
             width = len(data[0])
         else:
@@ -106,14 +109,14 @@ class IntMatrix:
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         r = len(diag) if rows is None else rows
         c = len(diag) if cols is None else cols
-        return cls(r, c, tuple(
-            tuple(diag[i] if i == j and i < len(diag) else 0 for j in range(c))
-            for i in range(r)))
+        zero = (0,) * c
+        return cls(r, c, tuple(zero[:i] + (diag[i],) + zero[i + 1:] if i < min(len(diag), c)
+                               else zero for i in range(r)))
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def columns(self, indices: Iterable[int]) -> "IntMatrix":
         """The submatrix formed by the given columns, in the given order."""
@@ -122,7 +125,7 @@ class IntMatrix:
                          tuple(tuple(row[j] for j in idx) for row in self.entries))
 
     def max_abs(self) -> int:
-        return max((abs(x) for row in self.entries for x in row), default=0)
+        return max(map(abs, chain.from_iterable(self.entries)), default=0)
 
     # -- algebra ------------------------------------------------------
 
@@ -131,15 +134,14 @@ class IntMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols_t = list(zip(*other.entries)) if other.rows and other.cols else []
         out = tuple(
-            tuple(sum(map(operator.mul, row, col)) for col in cols_t)
+            tuple(sum(map(mul, row, col)) for col in cols_t)
             if cols_t else (0,) * other.cols
             for row in self.entries)
         return IntMatrix(self.rows, other.cols, out)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+                         tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -187,6 +189,29 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def composite_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether a @ b is the zero matrix, decided without forming it.
+
+    Each row of b is packed into one integer, a base-2^w digit per column
+    (Kronecker substitution); a row of a times the packed rows is then the
+    matching row of a @ b, packed the same way.  Every entry of a @ b is at
+    most a.cols * max|a| * max|b| < 2^(w-1) in absolute value, so a packed
+    row is zero exactly when each of its digits is: the test is exact.
+    """
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    bound = a.cols * a.max_abs() * b.max_abs()
+    if not bound:
+        return True
+    width = bound.bit_length() // 8 + 1  # bytes per digit, so 2^(8*width-1) > bound
+    half = 1 << (8 * width - 1)  # shifts every digit of b into [0, 2^(8*width))
+    packed = [int.from_bytes(b"".join(map(int.to_bytes, map(add, row, repeat(half)),
+                                          repeat(width), repeat("little"))), "little")
+              for row in b.entries]
+    shift = half * int.from_bytes((1).to_bytes(width, "little") * b.cols, "little")
+    return not any(sum(map(mul, row, packed)) - shift * sum(row) for row in a.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +263,7 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
         a, v = column_echelon(a, v)
         at, ut = column_echelon(a.transpose(), ut)
         a = at.transpose()
-        if all(x == 0 for i, row in enumerate(a.entries) for j, x in enumerate(row) if i != j):
+        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a.entries)):
             break
     # both echelon passes sort zero columns/rows to the back and make pivots
     # positive, so the diagonal is a positive prefix followed by zeros
@@ -293,13 +318,20 @@ def column_echelon(m: IntMatrix,
         transform = IntMatrix.identity(ncols)
     elif transform.cols != ncols:
         raise ValueError(f"transform has {transform.cols} columns, expected {ncols}")
-    cols = [[m.entries[i][j] for i in range(rows)] for j in range(ncols)]
-    w = [[transform.entries[i][j] for i in range(transform.rows)] for j in range(ncols)]
+    cols = [list(c) for c in zip(*m.entries)] if rows else [[]] * ncols
+    w = [list(c) for c in zip(*transform.entries)] if transform.rows else [[]] * ncols
+    track = transform.rows > 0  # a transform with no rows takes no operations
 
-    def combine(j, j0, q):
-        # column j -= q * column j0
-        cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
-        w[j] = [x - q * y for x, y in zip(w[j], w[j0])]
+    def eliminate(targets, j0):
+        # column j -= q * column j0 for each target j, q the quotient in this row
+        c0, w0 = cols[j0], w[j0]
+        for j in targets:
+            if j != j0:
+                q = cols[j][row] // c0[row]
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], c0)]
+                    if track:
+                        w[j] = [x - q * y for x, y in zip(w[j], w0)]
 
     next_pivot = 0
     for row in range(rows):
@@ -309,13 +341,7 @@ def column_echelon(m: IntMatrix,
             nz = [j for j in range(next_pivot, ncols) if cols[j][row]]
             if len(nz) <= 1:
                 break
-            j0 = min(nz, key=lambda j: abs(cols[j][row]))
-            for j in nz:
-                if j != j0:
-                    q = cols[j][row] // cols[j0][row]
-                    if q:
-                        combine(j, j0, q)
-        nz = [j for j in range(next_pivot, ncols) if cols[j][row]]
+            eliminate(nz, min(nz, key=lambda j: abs(cols[j][row])))
         if not nz:
             continue
         j0 = nz[0]
@@ -325,16 +351,11 @@ def column_echelon(m: IntMatrix,
         if cols[next_pivot][row] < 0:
             cols[next_pivot] = [-x for x in cols[next_pivot]]
             w[next_pivot] = [-x for x in w[next_pivot]]
-        for j in range(next_pivot):
-            q = cols[j][row] // cols[next_pivot][row]
-            if q:
-                combine(j, next_pivot, q)
+        eliminate(range(next_pivot), next_pivot)
         next_pivot += 1
 
-    h = IntMatrix(rows, ncols, tuple(tuple(cols[j][i] for j in range(ncols))
-                                     for i in range(rows)))
-    wm = IntMatrix(transform.rows, ncols, tuple(tuple(w[j][i] for j in range(ncols))
-                                                for i in range(transform.rows)))
+    h = IntMatrix(rows, ncols, tuple(zip(*cols)) if ncols else ((),) * rows)
+    wm = IntMatrix(transform.rows, ncols, tuple(zip(*w)) if ncols else ((),) * transform.rows)
     return h, wm
 
 

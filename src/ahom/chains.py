@@ -31,12 +31,27 @@ from .abelian import (
     canonical_int,
     cokernel,
     column_space_basis,
+    composite_is_zero,
     direct_sum,
     ext,
     hom,
     kernel_basis,
     solve,
 )
+
+
+# The highest cell degree an input may ask for: a few characters of recipe
+# would otherwise demand an output line, and for `axioms` a reduction, per degree.
+MAX_DEGREE = 64
+
+
+def parse_degree(text: str, what: str, error: type[ValueError], top: int = 0) -> int:
+    """The degree `text` writes (see :func:`canonical_int`); `error` names the
+    limit when it, or a cell `top` degrees above it, is past MAX_DEGREE."""
+    n = canonical_int(text, what, error)
+    if n + top > MAX_DEGREE:
+        raise error(f"{what} {n} puts a cell past the limit of {MAX_DEGREE} on cell degrees")
+    return n
 
 
 class InvalidComplexError(ValueError):
@@ -58,7 +73,10 @@ class ChainComplex:
     `boundaries[n]` is the map from n-chains to (n-1)-chains, with
     ranks(n-1) rows and ranks(n) columns.  All invariants (matching shapes
     and the d*d = 0 law) are checked at construction; zero ranks and zero
-    matrices are normalized away.
+    matrices are normalized away.  The d*d = 0 test packs each row of the
+    upper boundary into one integer (:func:`~ahom.abelian.composite_is_zero`),
+    which is exact and forms no product matrix; the product is formed only
+    when the test fails, to name the first nonzero entry.
     """
 
     name: str
@@ -89,13 +107,13 @@ class ChainComplex:
             upper = boundaries.get(n + 1)
             if upper is None:
                 continue
-            comp = boundaries[n] @ upper
-            for i in range(comp.rows):
-                for j in range(comp.cols):
-                    if comp.entries[i][j]:
-                        raise DSquaredError(
-                            f"boundary composite at degree {n + 1} is nonzero: "
-                            f"entry ({i},{j}) = {comp.entries[i][j]}")
+            if composite_is_zero(boundaries[n], upper):
+                continue
+            comp = boundaries[n] @ upper  # formed only to name the first bad entry
+            i, j, x = next((i, j, x) for i, row in enumerate(comp.entries)
+                           for j, x in enumerate(row) if x)
+            raise DSquaredError(f"boundary composite at degree {n + 1} is nonzero: "
+                                f"entry ({i},{j}) = {x}")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", boundaries)
 
@@ -191,7 +209,7 @@ def _presented_subquotient(alpha: IntMatrix, beta: IntMatrix,
         raise ValueError("incoming map does not preserve relations")
     if solve(rel_next, beta @ rel_mid) is None:
         raise ValueError("outgoing map does not preserve relations")
-    if not (beta @ alpha).is_zero():
+    if not composite_is_zero(beta, alpha):
         raise ValueError("composite of the two maps is nonzero")
     # generators of the kernel of the induced map into coker(rel_next):
     # project ker [beta | rel_next] onto the generator block
@@ -292,10 +310,10 @@ def complex_from_json(data: object) -> ChainComplex:
     if not isinstance(raw_ranks, dict) or not isinstance(raw_bnd, dict):
         raise InvalidComplexError('"ranks" and "boundaries" must be objects')
     _json_ints(raw_ranks.values(), "ranks")
-    ranks = {canonical_int(k, "degree", InvalidComplexError): v for k, v in raw_ranks.items()}
+    ranks = {parse_degree(k, "degree", InvalidComplexError): v for k, v in raw_ranks.items()}
     boundaries = {}
     for k, rows in raw_bnd.items():
-        n = canonical_int(k, "degree", InvalidComplexError)
+        n = parse_degree(k, "degree", InvalidComplexError)
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise InvalidComplexError(f"boundary {k!r} must be a list of rows")
         _json_ints((x for row in rows for x in row), f"boundary {k!r} entries")

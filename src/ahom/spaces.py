@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, GroupParseError, IntMatrix, canonical_int, parse_group
-from .chains import ChainComplex, load_complex
+from .abelian import FgAbGroup, GroupParseError, IntMatrix, parse_group
+from .chains import ChainComplex, load_complex, parse_degree
 
 SPHERE = "sphere"
 MOORE = "moore"
@@ -62,14 +62,15 @@ class SpaceRecipe:
 
 
 def parse_recipe(text: str) -> SpaceRecipe:
-    """Parse the CLI recipe syntax."""
+    """Parse the CLI recipe syntax; no recipe may ask for a cell in a degree
+    past ``chains.MAX_DEGREE``."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise RecipeError(f"recipe {text!r} needs a ':'")
     if kind == "sphere":
-        return SpaceRecipe.sphere(canonical_int(rest, "sphere dimension", RecipeError))
+        return SpaceRecipe.sphere(parse_degree(rest, "sphere dimension", RecipeError))
     if kind == "rp":
-        return SpaceRecipe.projective(canonical_int(rest, "rp dimension", RecipeError))
+        return SpaceRecipe.projective(parse_degree(rest, "rp dimension", RecipeError))
     if kind == "moore":
         group_text, sep2, m_text = rest.rpartition(":")
         if not sep2:
@@ -78,7 +79,9 @@ def parse_recipe(text: str) -> SpaceRecipe:
             group = parse_group(group_text)
         except GroupParseError as exc:
             raise RecipeError(f"moore recipe: {exc}") from None
-        return SpaceRecipe.moore(group, canonical_int(m_text, "moore degree", RecipeError))
+        # each torsion factor adds a cell in degree m + 1
+        m = parse_degree(m_text, "moore degree", RecipeError, bool(group.invariant_factors))
+        return SpaceRecipe.moore(group, m)
     if kind == "file":
         return SpaceRecipe.file(rest)
     raise RecipeError(f"unknown recipe kind {kind!r}")

@@ -2,7 +2,9 @@
 
 The oracles here enumerate group elements or cochains, factor orders or
 invert over the rationals, and never touch the Smith-form machinery they are
-used to check.
+used to check.  The exceptions are the per-entry reference Hermite pass and
+the smash product with its Kunneth formula, which reduce through the library
+on purpose.
 """
 
 import math
@@ -10,8 +12,8 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
-from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet
-from ahom.chains import ChainComplex
+from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, direct_sum
+from ahom.chains import ChainComplex, homology
 from ahom.federer import TABLE_START, HomotopyTable
 
 
@@ -203,3 +205,119 @@ def constant_table(variant: str, group: FgAbGroup, q_max: int,
     """The table with pi_q = group for every q from the variant's start to q_max."""
     return HomotopyTable(variant, {q: group for q in range(TABLE_START[variant], q_max + 1)},
                          abelian)
+
+
+def reference_column_echelon(m: IntMatrix,
+                             transform: IntMatrix | None = None) -> tuple[IntMatrix, IntMatrix]:
+    """Column Hermite form: (H, W) with m @ W == H and W unimodular.
+
+    The per-entry form of :func:`ahom.abelian.column_echelon`, kept as its
+    oracle: the library pass must do the same operations in the same order,
+    so that every result is identical, not merely equivalent.
+
+    Nonzero columns of H have strictly increasing leading rows and positive
+    leading entries, entries to the left of a leading entry are reduced
+    modulo it, and zero columns trail.  Unlike the Smith transforms, the
+    nonzero part of H is a basis of the column lattice of m with entries of
+    moderate size, which is what the homology pipeline builds on.
+
+    The columns of W over the zero columns of H are a lattice basis of
+    ker(m).  When `transform` (with m.cols columns) is given, the column
+    operations are applied to it instead of to the identity, and the second
+    result is transform @ W.
+    """
+    rows, ncols = m.rows, m.cols
+    if transform is None:
+        transform = IntMatrix.identity(ncols)
+    elif transform.cols != ncols:
+        raise ValueError(f"transform has {transform.cols} columns, expected {ncols}")
+    cols = [[m.entries[i][j] for i in range(rows)] for j in range(ncols)]
+    w = [[transform.entries[i][j] for i in range(transform.rows)] for j in range(ncols)]
+
+    def combine(j, j0, q):
+        # column j -= q * column j0
+        cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
+        w[j] = [x - q * y for x, y in zip(w[j], w[j0])]
+
+    next_pivot = 0
+    for row in range(rows):
+        if next_pivot >= ncols:
+            break
+        while True:
+            nz = [j for j in range(next_pivot, ncols) if cols[j][row]]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+            for j in nz:
+                if j != j0:
+                    q = cols[j][row] // cols[j0][row]
+                    if q:
+                        combine(j, j0, q)
+        nz = [j for j in range(next_pivot, ncols) if cols[j][row]]
+        if not nz:
+            continue
+        j0 = nz[0]
+        if j0 != next_pivot:
+            cols[j0], cols[next_pivot] = cols[next_pivot], cols[j0]
+            w[j0], w[next_pivot] = w[next_pivot], w[j0]
+        if cols[next_pivot][row] < 0:
+            cols[next_pivot] = [-x for x in cols[next_pivot]]
+            w[next_pivot] = [-x for x in w[next_pivot]]
+        for j in range(next_pivot):
+            q = cols[j][row] // cols[next_pivot][row]
+            if q:
+                combine(j, next_pivot, q)
+        next_pivot += 1
+
+    h = IntMatrix(rows, ncols, tuple(tuple(cols[j][i] for j in range(ncols))
+                                     for i in range(rows)))
+    wm = IntMatrix(transform.rows, ncols, tuple(tuple(w[j][i] for j in range(ncols))
+                                                for i in range(transform.rows)))
+    return h, wm
+
+
+def smash(x: ChainComplex, y: ChainComplex) -> ChainComplex:
+    """The reduced chains of the smash product, C~(x) (x) C~(y).
+
+    The cells of degree n are the pairs (a, b) with |a| + |b| = n, ordered by
+    the degree of a, and d(a (x) b) = da (x) b + (-1)^|a| a (x) db.
+    """
+    basis = defaultdict(list)
+    for p, r in sorted(x.ranks.items()):
+        for q, s in sorted(y.ranks.items()):
+            basis[p + q].extend((p, i, q, j) for i in range(r) for j in range(s))
+    boundaries = {}
+    for n, cells in basis.items():
+        below = {cell: k for k, cell in enumerate(basis.get(n - 1, ()))}
+        if not below:
+            continue
+        rows = [[0] * len(cells) for _ in below]
+        for col, (p, i, q, j) in enumerate(cells):
+            dx, dy = x.boundaries.get(p), y.boundaries.get(q)
+            for i2 in range(dx.rows if dx else 0):
+                rows[below[(p - 1, i2, q, j)]][col] += dx.entries[i2][i]
+            for j2 in range(dy.rows if dy else 0):
+                rows[below[(p, i, q - 1, j2)]][col] += (-1) ** p * dy.entries[j2][j]
+        boundaries[n] = IntMatrix.from_rows(rows, cols=len(cells))
+    return ChainComplex(f"smash({x.name},{y.name})",
+                        {n: len(cells) for n, cells in basis.items()}, boundaries)
+
+
+def tensor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
+    """g (x) h: Z (x) H = H and Z/a (x) Z/b = Z/gcd(a, b)."""
+    orders = list(h.invariant_factors) * g.free_rank + list(g.invariant_factors) * h.free_rank
+    orders.extend(math.gcd(a, b) for a in g.invariant_factors for b in h.invariant_factors)
+    return FgAbGroup.of(g.free_rank * h.free_rank, orders)
+
+
+def tor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
+    """Tor(g, h): Tor(Z, H) = 0 and Tor(Z/a, Z/b) = Z/gcd(a, b)."""
+    return FgAbGroup.of(0, [math.gcd(a, b) for a in g.invariant_factors
+                            for b in h.invariant_factors])
+
+
+def kunneth(x: ChainComplex, y: ChainComplex, n: int) -> FgAbGroup:
+    """H_n of x (x) y by the Kunneth formula from the homology of the factors:
+    the sum of H_i(x) (x) H_(n-i)(y) and of Tor(H_i(x), H_(n-1-i)(y))."""
+    return direct_sum([tensor(homology(x, i), homology(y, n - i)) for i in range(n + 1)]
+                      + [tor(homology(x, i), homology(y, n - 1 - i)) for i in range(n)])

@@ -14,6 +14,7 @@ from ahom.abelian import (
     cokernel,
     column_echelon,
     column_space_basis,
+    composite_is_zero,
     direct_sum,
     exponent,
     ext,
@@ -25,6 +26,7 @@ from ahom.abelian import (
     snf,
     solve,
 )
+from ahom import abelian
 from ahom.corpus import random_matrix
 from helpers import (
     brute_ext_order,
@@ -33,6 +35,7 @@ from helpers import (
     invert_unimodular,
     prime_factors,
     prime_power_group,
+    reference_column_echelon,
     torsion_primes,
 )
 
@@ -139,6 +142,130 @@ class TestColumnEchelon:
             for j2 in range(j):
                 assert 0 <= h.entries[lead][j2] < h.entries[lead][j]
         assert leads == sorted(leads) and len(set(leads)) == len(leads)
+
+
+EMPTY_SHAPES = [(0, 0), (0, 3), (3, 0)]
+
+
+def random_transform(rng: random.Random, cols: int) -> IntMatrix | None:
+    """No transform, one with no rows, or a random one with `cols` columns."""
+    rows = rng.choice([None, 0, rng.randint(1, 5)])
+    if rows is None:
+        return None
+    return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)],
+                               cols=cols)
+
+
+class TestAgainstReferencePass:
+    """The list-level Hermite pass does the reference pass's operations in
+    the same order, so every output is identical, not merely equivalent."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 9))
+    def test_same_hermite_form_and_transform(self, seed, max_dim):
+        rng = random.Random(seed)
+        m = random_matrix(rng, max_dim=max_dim, bound=rng.choice([1, 10, 2**40]))
+        t = random_transform(rng, m.cols)
+        assert column_echelon(m, t) == reference_column_echelon(m, t)
+
+    @pytest.mark.parametrize("shape", EMPTY_SHAPES)
+    def test_same_on_empty_shapes(self, shape):
+        m = IntMatrix.zeros(*shape)
+        for t in (None, IntMatrix.zeros(0, m.cols), IntMatrix.zeros(2, m.cols),
+                  IntMatrix.identity(m.cols)):
+            assert column_echelon(m, t) == reference_column_echelon(m, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 8))
+    def test_same_smith_certificate(self, seed, max_dim):
+        m = random_matrix(random.Random(seed), max_dim=max_dim)
+        got = [snf(m), snf(m, certificate=False)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(abelian, "column_echelon", reference_column_echelon)
+            want = [snf(m), snf(m, certificate=False)]
+        assert got == want
+
+    @pytest.mark.parametrize("shape", EMPTY_SHAPES)
+    def test_same_smith_certificate_on_empty_shapes(self, shape, monkeypatch):
+        m = IntMatrix.zeros(*shape)
+        got = snf(m)
+        monkeypatch.setattr(abelian, "column_echelon", reference_column_echelon)
+        assert got == snf(m)
+
+
+def signed(bits: int):
+    return st.integers(-(2**bits), 2**bits)
+
+
+class TestCompositeIsZero:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 100), st.booleans())
+    def test_agrees_with_the_product(self, seed, bits, perturb):
+        # b is drawn inside the kernel of a, so zero composites are common;
+        # one perturbed entry usually makes the composite nonzero
+        rng = random.Random(seed)
+        k = rng.randint(0, 5)
+        a = IntMatrix.from_rows([[rng.randint(-2**bits, 2**bits) for _ in range(k)]
+                                 for _ in range(rng.randint(0, 5))], cols=k)
+        kernel, c = kernel_basis(a), rng.randint(0, 4)
+        mixing = IntMatrix.from_rows([[rng.randint(-2**bits, 2**bits) for _ in range(c)]
+                                      for _ in range(kernel.cols)], cols=c)
+        b = kernel @ mixing
+        if perturb and b.rows and b.cols:
+            rows = [list(r) for r in b.entries]
+            rows[rng.randrange(b.rows)][rng.randrange(b.cols)] += rng.randint(1, 2**bits)
+            b = IntMatrix.from_rows(rows)
+        assert composite_is_zero(a, b) == (a @ b).is_zero()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(signed(100), min_size=k, max_size=k), max_size=4),
+        st.lists(st.lists(signed(100), min_size=3, max_size=3), min_size=k, max_size=k))))
+    def test_agrees_on_arbitrary_signed_entries(self, rows):
+        a_rows, b_rows = rows
+        a = IntMatrix.from_rows(a_rows, cols=len(b_rows))
+        b = IntMatrix.from_rows(b_rows, cols=3)
+        assert composite_is_zero(a, b) == (a @ b).is_zero()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((0, 0), (0, 0)), ((0, 3), (3, 2)), ((2, 0), (0, 3)), ((2, 3), (3, 0)), ((3, 2), (2, 0)),
+    ])
+    def test_empty_shapes(self, a_shape, b_shape):
+        a = IntMatrix.from_rows([[7] * a_shape[1]] * a_shape[0], cols=a_shape[1])
+        b = IntMatrix.from_rows([[5] * b_shape[1]] * b_shape[0], cols=b_shape[1])
+        assert composite_is_zero(a, b) == (a @ b).is_zero()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            composite_is_zero(IntMatrix.zeros(2, 3), IntMatrix.zeros(2, 3))
+
+    @pytest.mark.parametrize("bits", [1, 6, 7, 8, 15, 16, 63, 64, 100])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_entry_at_the_packing_bound(self, bits, sign):
+        # a row of k equal entries M times a column of k equal entries N is
+        # k*M*N, the packing bound itself; every other entry of the product
+        # is 0, and the bound is tight in every position
+        k, big = 3, 2**bits - 1
+        for j in range(4):
+            a = IntMatrix.from_rows([[sign * big] * k, [0] * k])
+            b = IntMatrix.from_rows([[big if c == j else 0 for c in range(4)]] * k)
+            assert (a @ b).entries[0][j] == sign * k * big * big
+            assert not composite_is_zero(a, b)
+            # the same bound reached by two terms that cancel
+            b_zero = IntMatrix.from_rows([[big if c == j else 0 for c in range(4)]] * (k - 1)
+                                         + [[-2 * big if c == j else 0 for c in range(4)]])
+            a_zero = IntMatrix.from_rows([[big] * k, [0] * k])
+            assert composite_is_zero(a_zero, b_zero) == (a_zero @ b_zero).is_zero()
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 63, 100])
+    def test_one_entry_filling_its_digit(self, bits):
+        # a bound of 2^bits - 1 with bits = 7 (mod 8) leaves no spare bit in
+        # the digit: the entry is one below half the digit range
+        for j in range(3):
+            for sign in (1, -1):
+                a = IntMatrix.from_rows([[sign * (2**bits - 1)]])
+                b = IntMatrix.from_rows([[1 if c == j else 0 for c in range(3)]])
+                assert not composite_is_zero(a, b)
 
 
 class TestLatticeUtilities:

@@ -24,9 +24,9 @@ from ahom.chains import (
     suspension,
     wedge,
 )
-from ahom.corpus import random_complex, random_group
+from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.spaces import moore, projective, s_zero, sphere
-from helpers import brute_cohomology_orders, complex_to_json, order_counts
+from helpers import brute_cohomology_orders, complex_to_json, kunneth, order_counts, smash
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -39,6 +39,25 @@ class TestValidation:
             ChainComplex("bad", {0: 1, 1: 1, 2: 1},
                          {1: IntMatrix.from_rows([[1]]),
                           2: IntMatrix.from_rows([[2]])})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_d_squared_message_names_the_first_nonzero_entry(self, seed):
+        rng = random.Random(seed)
+        r0, r1, r2 = (rng.randint(1, 4) for _ in range(3))
+        d1 = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r1)] for _ in range(r0)])
+        d2 = IntMatrix.from_rows([[rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(r2)]
+                                  for _ in range(r1)])
+        comp = d1 @ d2
+        bad = [(i, j, x) for i, row in enumerate(comp.entries) for j, x in enumerate(row) if x]
+        if d1.is_zero() or d2.is_zero() or not bad:
+            ChainComplex("ok", {0: r0, 1: r1, 2: r2}, {1: d1, 2: d2})
+            return
+        i, j, x = bad[0]
+        with pytest.raises(DSquaredError) as err:
+            ChainComplex("bad", {0: r0, 1: r1, 2: r2}, {1: d1, 2: d2})
+        assert str(err.value) == (f"boundary composite at degree 2 is nonzero: "
+                                  f"entry ({i},{j}) = {x}")
 
     def test_shape_mismatch_names_degree(self):
         with pytest.raises(ShapeMismatchError, match="degree 2"):
@@ -342,3 +361,35 @@ class TestFileFormat:
                 "boundaries": {"1": [[1]], "2": [[2]]}}
         with pytest.raises(DSquaredError):
             complex_from_json(data)
+
+
+class TestSmashProduct:
+    """Chain-level smash products: a large structured workload whose homology
+    the Kunneth formula predicts from the factors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_kunneth(self, seed_x, seed_y):
+        x = connected_complex(random.Random(seed_x), max_top=3, max_rank=3)
+        y = connected_complex(random.Random(seed_y), max_top=3, max_rank=3)
+        xy = smash(x, y)
+        assert sum(xy.ranks.values()) == sum(x.ranks.values()) * sum(y.ranks.values())
+        for n in range(x.top_degree + y.top_degree + 2):
+            assert homology(xy, n) == kunneth(x, y, n), n
+
+    def test_smash_with_s_zero_is_the_identity(self):
+        rp3 = projective(3)
+        assert smash(s_zero(), rp3).graded_homology == rp3.graded_homology
+
+    def test_triple_smash_of_rp20(self):
+        # 8,000 cells, at most 300 in one degree, 12,000 nonzero boundary
+        # entries: validating and reducing it is a sparse large-complex case
+        rp20 = projective(20)
+        pair = smash(rp20, rp20)
+        triple = smash(pair, rp20)
+        assert sum(triple.ranks.values()) == 8000
+        assert max(triple.ranks.values()) == 300
+        for n in range(triple.top_degree + 2):
+            assert homology(triple, n) == kunneth(pair, rp20, n), n
+        assert homology(triple, 3) == FgAbGroup.of(0, [2])
+        assert homology(triple, 60) == TRIVIAL

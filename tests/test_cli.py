@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ahom.chains import MAX_DEGREE
 from ahom.cli import main
 from ahom.spaces import projective
 from helpers import complex_to_json
@@ -239,6 +240,39 @@ class TestExitCodes:
         code, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
         assert (code, out) == (2, "")
         assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("verb", ["homology", "cohomology", "ahomology", "axioms"])
+    def test_sphere_at_the_degree_limit_answers(self, capsys, verb):
+        x = f"sphere:{MAX_DEGREE}"
+        argv = {"homology": ["--X", x], "cohomology": ["--X", x, "--coefficients", "Z/2"],
+                "ahomology": ["--A", x, "--X", x], "axioms": ["--A", x, "--X", x]}[verb]
+        code, out, err = run(capsys, verb, *argv)
+        assert (code, err) == (0, "")
+        assert str(MAX_DEGREE) in out
+
+    @pytest.mark.parametrize("recipe, what", [
+        ("sphere:{over}", "sphere dimension"),
+        ("rp:{over}", "rp dimension"),
+        ("moore:Z:{over}", "moore degree"),
+        ("moore:Z/2:{limit}", "moore degree"),
+        ("sphere:3000000", "sphere dimension"),
+    ], ids=["sphere", "rp", "moore-degree", "moore-torsion-cell", "huge-sphere"])
+    def test_recipe_past_the_degree_limit_is_two(self, capsys, recipe, what):
+        recipe = recipe.format(over=MAX_DEGREE + 1, limit=MAX_DEGREE)
+        code, out, err = run(capsys, "homology", "--X", recipe)
+        assert (code, out) == (2, "")
+        assert what in err and f"past the limit of {MAX_DEGREE} on cell degrees" in err
+
+    @pytest.mark.parametrize("field", ["ranks", "boundaries"])
+    def test_complex_file_degree_past_the_limit_is_two(self, capsys, tmp_path, field):
+        over = str(MAX_DEGREE + 1)
+        data = {"reduced": True, "ranks": {"1": 1}, "boundaries": {}}
+        data[field][over] = 1 if field == "ranks" else []
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "homology", "--X", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert f"degree {over} puts a cell past the limit of {MAX_DEGREE}" in err
 
     def test_help_is_zero(self, capsys):
         code, _, _ = run(capsys, "--help")

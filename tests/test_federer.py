@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahom.abelian import FgAbGroup, PrimeSet
-from ahom.chains import homology
-from ahom.corpus import random_complex, random_group
+from ahom.chains import cohomology_direct, homology
+from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.federer import (
     ABSOLUTE,
     DETERMINED,
@@ -355,3 +357,28 @@ class TestConsistency:
             x = random_complex(rng, max_top=4, max_rank=4)
             n = rng.randint(1, 5)
             assert e2_consistency_with_ahomology(a, x, n).holds
+
+
+class TestEilenbergMacLanePage:
+    """For a one-row table (only pi_m = G, so Y = K(G, m)),
+    [Sigma^n A, Y] = H^(m-n)(A; G): every diagonal in range is determined by
+    its single entry, which the direct cochain route must reproduce."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.integers(0, 3))
+    def test_every_diagonal_in_range_is_the_cohomology_group(self, seed, m, extra):
+        rng = random.Random(seed)
+        a = connected_complex(rng, max_top=4, max_rank=3)
+        g = random_group(rng, max_rank=1, max_factors=2, max_order=12)
+        q_max = m + a.top_degree + extra
+        table = HomotopyTable(ABSOLUTE, {q: g if q == m else TRIVIAL
+                                         for q in range(1, q_max + 1)}, True)
+        page = federer_e2(a, table)
+        for n in range(-1, q_max + 2):
+            verdict = collapse_report(page, n)
+            if verdict.verdict == OUT_OF_RANGE:
+                continue
+            assert verdict.verdict == DETERMINED, (n, verdict)
+            assert verdict.group == cohomology_direct(a, m - n, g), n
+            if not 1 <= m - n <= a.top_degree:
+                assert verdict.group == TRIVIAL
