@@ -132,47 +132,45 @@ class AxiomCheck:
     """Outcome of one homology-theory axiom instance: both sides rendered."""
 
     axiom: str
-    holds: bool
     left: FgAbGroup
     right: FgAbGroup
     detail: str
+
+    @property
+    def holds(self) -> bool:
+        return self.left == self.right
 
     def line(self) -> str:
         verdict = "holds" if self.holds else "FAILS"
         return f"{self.axiom} axiom {verdict}: {self.detail}: {self.left} vs {self.right}"
 
 
-def check_suspension_axiom(a: ChainComplex, x: ChainComplex, n: int) -> AxiomCheck:
-    """H^A_n(x) must agree with H^A_(n+1) of the suspension of x.
+def check_suspension_axiom(a: ChainComplex, x: ChainComplex,
+                           degrees: Sequence[int]) -> list[AxiomCheck]:
+    """H^A_n(x) must agree with H^A_(n+1) of the suspension of x, for each n
+    in `degrees`; the suspension is built once.
 
     Holds for every connected x; a target with extra 0-cells violates the
     formula's hypothesis and can fail at n = 0.
     """
-    left = a_homology(a, x, n)
-    right = a_homology(a, suspension(x), n + 1)
-    return AxiomCheck(
-        axiom="suspension",
-        holds=left == right,
-        left=left,
-        right=right,
-        detail=f"A={a.name}, X={x.name}, n={n}",
-    )
+    sx = suspension(x)
+    return [AxiomCheck("suspension", a_homology(a, x, n), a_homology(a, sx, n + 1),
+                       f"A={a.name}, X={x.name}, n={n}")
+            for n in degrees]
 
 
-def check_wedge_axiom(a: ChainComplex, xs: Sequence[ChainComplex], n: int) -> AxiomCheck:
-    """Shaped homology of a wedge must be the direct sum of the pieces.
+def check_wedge_axiom(a: ChainComplex, xs: Sequence[ChainComplex],
+                      degrees: Sequence[int]) -> list[AxiomCheck]:
+    """Shaped homology of a wedge must be the direct sum of the pieces, for
+    each n in `degrees`; the wedge is built once.
 
     As with the suspension axiom, the pieces are assumed connected.
     """
-    left = a_homology(a, wedge(xs), n)
-    right = direct_sum([a_homology(a, x, n) for x in xs])
-    return AxiomCheck(
-        axiom="wedge",
-        holds=left == right,
-        left=left,
-        right=right,
-        detail=f"A={a.name}, pieces={len(xs)}, n={n}",
-    )
+    w = wedge(xs)
+    return [AxiomCheck("wedge", a_homology(a, w, n),
+                       direct_sum([a_homology(a, x, n) for x in xs]),
+                       f"A={a.name}, pieces={len(xs)}, n={n}")
+            for n in degrees]
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,8 @@ def _cmd_axioms(args) -> int:
     a = _build_complex(args.A)
     x = _build_complex(args.X)
     degrees = [args.n] if args.n is not None else list(range(0, x.top_degree + 2))
-    checks = []
-    for n in degrees:
-        checks.append(check_suspension_axiom(a, x, n))
-        checks.append(check_wedge_axiom(a, [x, x], n))
+    pairs = zip(check_suspension_axiom(a, x, degrees), check_wedge_axiom(a, [x, x], degrees))
+    checks = [check for pair in pairs for check in pair]
     text = "\n".join(c.line() for c in checks)
     data = [{"axiom": c.axiom, "holds": c.holds, "detail": c.detail,
              "left": str(c.left), "right": str(c.right)} for c in checks]

@@ -47,7 +47,7 @@ from .federer import (
     relative_federer_e2,
     torsion_class_check,
 )
-from .spaces import moore, projective, s_zero, sphere
+from .spaces import moore, projective, sphere
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -169,7 +169,7 @@ def check_sphere_formula() -> CheckResult:
 
 def check_s0_degeneration() -> CheckResult:
     """With the based 0-sphere as shape, the theory is ordinary homology."""
-    a = s_zero()
+    a = sphere(0)
     rng = random.Random(2002)
     pool = [sphere(1), sphere(4), projective(2), projective(4),
             moore(FgAbGroup.of(1, [2, 4]), 2), wedge([sphere(2), projective(2)])]
@@ -265,12 +265,12 @@ def check_axioms() -> CheckResult:
         a = rng.choice(_shape_pool() + [random_complex(rng, max_top=3, max_rank=3)])
         x = connected_complex(rng, max_top=4, max_rank=4)
         n = rng.randint(0, 6)
-        s = check_suspension_axiom(a, x, n)
+        [s] = check_suspension_axiom(a, x, [n])
         if not s.holds:
             return CheckResult("axioms", False, f"suspension #{i}: {s.line()}")
         pieces = [connected_complex(rng, max_top=3, max_rank=3)
                   for _ in range(rng.randint(0, 3))]
-        w = check_wedge_axiom(a, pieces, n)
+        [w] = check_wedge_axiom(a, pieces, [n])
         if not w.holds:
             return CheckResult("axioms", False, f"wedge #{i}: {w.line()}")
     return CheckResult("axioms", True, f"{triples} suspension and wedge instances")

@@ -289,11 +289,7 @@ def relative_hopf_whitney(k: ChainComplex, pi_rel: FgAbGroup) -> FgAbGroup:
         raise RefusedHypothesis(
             "refused: K must be the suspension of a path-connected complex "
             "(no cells in degrees 0 or 1)")
-    n = k.top_degree
-    if n < 2:
-        raise RefusedHypothesis(
-            f"refused: the source complex must have dimension >= 2, got {n}")
-    return cohomology_uct(k, n, pi_rel)
+    return hopf_whitney(k, pi_rel).group
 
 
 # ---------------------------------------------------------------------------

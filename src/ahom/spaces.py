@@ -1,76 +1,41 @@
 """Constructors for the standard complexes: spheres, Moore spaces, real
 projective spaces, and ingestion of complexes from files.
 
-Recipes have a small textual syntax used by the command line:
+A recipe is a deferred constructor call.  The command line writes one as
 "sphere:N", "moore:GROUP:M" (GROUP in the canonical group grammar, e.g.
-"Z/2+Z/4"), "rp:N" and "file:PATH".
+"Z/2+Z/4"), "rp:N" or "file:PATH"; :func:`parse_recipe` checks the text
+and binds the arguments to :func:`sphere`, :func:`moore`, :func:`projective`
+or :func:`~ahom.chains.load_complex`, and :func:`build` makes the call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 from .abelian import FgAbGroup, GroupParseError, IntMatrix, parse_group
 from .chains import ChainComplex, load_complex, parse_degree
-
-SPHERE = "sphere"
-MOORE = "moore"
-PROJECTIVE = "projective"
-FILE = "file"
 
 
 class RecipeError(ValueError):
     """Raised for unparseable or out-of-range space recipes."""
 
 
-@dataclass(frozen=True)
-class SpaceRecipe:
-    kind: str
-    n: int | None = None
-    group: FgAbGroup | None = None
-    m: int | None = None
-    path: str | None = None
+def parse_recipe(text: str) -> partial:
+    """Parse the CLI recipe syntax into a deferred constructor call.
 
-    def __post_init__(self):
-        if self.kind in (SPHERE, PROJECTIVE):
-            if self.n is None or self.n < 1:
-                raise RecipeError(f"{self.kind} requires a dimension >= 1")
-        elif self.kind == MOORE:
-            if self.group is None or self.m is None or self.m < 1:
-                raise RecipeError("moore requires a group and a degree m >= 1")
-        elif self.kind == FILE:
-            if not self.path:
-                raise RecipeError("file recipe requires a path")
-        else:
-            raise RecipeError(f"unknown recipe kind {self.kind!r}")
-
-    @classmethod
-    def sphere(cls, n: int) -> "SpaceRecipe":
-        return cls(SPHERE, n=n)
-
-    @classmethod
-    def moore(cls, group: FgAbGroup, m: int) -> "SpaceRecipe":
-        return cls(MOORE, group=group, m=m)
-
-    @classmethod
-    def projective(cls, n: int) -> "SpaceRecipe":
-        return cls(PROJECTIVE, n=n)
-
-    @classmethod
-    def file(cls, path: str) -> "SpaceRecipe":
-        return cls(FILE, path=path)
-
-
-def parse_recipe(text: str) -> SpaceRecipe:
-    """Parse the CLI recipe syntax; no recipe may ask for a cell in a degree
-    past ``chains.MAX_DEGREE``."""
+    Every argument is checked here, without building anything or reading a
+    file; no recipe may ask for a cell in a degree past
+    ``chains.MAX_DEGREE``.
+    """
     kind, sep, rest = text.partition(":")
     if not sep:
         raise RecipeError(f"recipe {text!r} needs a ':'")
-    if kind == "sphere":
-        return SpaceRecipe.sphere(parse_degree(rest, "sphere dimension", RecipeError))
-    if kind == "rp":
-        return SpaceRecipe.projective(parse_degree(rest, "rp dimension", RecipeError))
+    if kind in ("sphere", "rp"):
+        constructor = sphere if kind == "sphere" else projective
+        n = parse_degree(rest, f"{kind} dimension", RecipeError)
+        if n < 1:  # named after the constructor: "projective" for rp
+            raise RecipeError(f"{constructor.__name__} requires a dimension >= 1")
+        return partial(constructor, n)
     if kind == "moore":
         group_text, sep2, m_text = rest.rpartition(":")
         if not sep2:
@@ -81,26 +46,19 @@ def parse_recipe(text: str) -> SpaceRecipe:
             raise RecipeError(f"moore recipe: {exc}") from None
         # each torsion factor adds a cell in degree m + 1
         m = parse_degree(m_text, "moore degree", RecipeError, bool(group.invariant_factors))
-        return SpaceRecipe.moore(group, m)
+        if m < 1:
+            raise RecipeError("moore requires a group and a degree m >= 1")
+        return partial(moore, group, m)
     if kind == "file":
-        return SpaceRecipe.file(rest)
+        if not rest:
+            raise RecipeError("file recipe requires a path")
+        return partial(load_complex, rest)
     raise RecipeError(f"unknown recipe kind {kind!r}")
 
 
-def build(recipe: SpaceRecipe) -> ChainComplex:
-    """Realize a recipe as a validated chain complex.
-
-    Moore spaces use the minimal cell structure: one m-cell per free
-    generator, and an (m-cell, (m+1)-cell) pair with boundary d for each
-    torsion factor Z/d.
-    """
-    if recipe.kind == SPHERE:
-        return sphere(recipe.n)
-    if recipe.kind == PROJECTIVE:
-        return projective(recipe.n)
-    if recipe.kind == MOORE:
-        return moore(recipe.group, recipe.m)
-    return load_complex(recipe.path)
+def build(recipe: partial) -> ChainComplex:
+    """Realize a parsed recipe as a validated chain complex."""
+    return recipe()
 
 
 def sphere(n: int) -> ChainComplex:
@@ -110,12 +68,10 @@ def sphere(n: int) -> ChainComplex:
     return ChainComplex(f"sphere:{n}", {n: 1}, {})
 
 
-def s_zero() -> ChainComplex:
-    """The based 0-sphere: one cell beyond the basepoint in degree 0."""
-    return sphere(0)
-
-
 def moore(group: FgAbGroup, m: int) -> ChainComplex:
+    """The Moore space with homology `group` in degree m, in the minimal cell
+    structure: one m-cell per free generator, and an (m-cell, (m+1)-cell)
+    pair with boundary d for each torsion factor Z/d."""
     if m < 1:
         raise RecipeError("moore degree must be >= 1")
     r = group.free_rank

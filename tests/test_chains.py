@@ -25,7 +25,7 @@ from ahom.chains import (
     wedge,
 )
 from ahom.corpus import connected_complex, random_complex, random_group
-from ahom.spaces import moore, projective, s_zero, sphere
+from ahom.spaces import moore, projective, sphere
 from helpers import brute_cohomology_orders, complex_to_json, kunneth, order_counts, smash
 
 Z = FgAbGroup.free(1)
@@ -320,7 +320,7 @@ class TestConstructions:
         assert connectivity_bounds(sphere(4)) == (4, 4)
         assert connectivity_bounds(projective(2)) == (1, 2)
         assert connectivity_bounds(moore(FgAbGroup.cyclic(3), 5)) == (5, 6)
-        assert connectivity_bounds(s_zero()) == (0, 0)
+        assert connectivity_bounds(sphere(0)) == (0, 0)
 
     def test_graded_groups(self):
         gg = projective(3).graded_homology
@@ -379,7 +379,7 @@ class TestSmashProduct:
 
     def test_smash_with_s_zero_is_the_identity(self):
         rp3 = projective(3)
-        assert smash(s_zero(), rp3).graded_homology == rp3.graded_homology
+        assert smash(sphere(0), rp3).graded_homology == rp3.graded_homology
 
     def test_triple_smash_of_rp20(self):
         # 8,000 cells, at most 300 in one degree, 12,000 nonzero boundary

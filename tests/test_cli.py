@@ -99,6 +99,19 @@ class TestVerbs:
         assert code == 0
         assert "FAILS" not in out
 
+    def test_axioms_builds_one_suspension_and_one_wedge(self, capsys, monkeypatch):
+        from ahom import ahomology
+        calls = {"suspension": 0, "wedge": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(ahomology, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(ahomology, name, counted)
+        code, out, _ = run(capsys, "axioms", "--A", "rp:2", "--X", "rp:12")
+        assert code == 0
+        assert len(out.splitlines()) == 2 * 14
+        assert calls == {"suspension": 1, "wedge": 1}
+
 
 class TestExitCodes:
     def test_refusal_is_one(self, capsys, tmp_path):
@@ -262,6 +275,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "homology", "--X", recipe)
         assert (code, out) == (2, "")
         assert what in err and f"past the limit of {MAX_DEGREE} on cell degrees" in err
+
+    @pytest.mark.parametrize("recipe, message", [
+        ("sphere:0", "sphere requires a dimension >= 1"),
+        ("rp:0", "projective requires a dimension >= 1"),
+        ("rp:-1", "projective requires a dimension >= 1"),
+        ("moore:Z/2:0", "moore requires a group and a degree m >= 1"),
+        ("moore:Z/2", "recipe 'moore:Z/2' needs moore:GROUP:M"),
+        ("file:", "file recipe requires a path"),
+        ("torus:2", "unknown recipe kind 'torus'"),
+        ("sphere", "recipe 'sphere' needs a ':'"),
+        ("sphere:65", "sphere dimension 65 puts a cell past the limit of 64 on cell degrees"),
+    ])
+    def test_recipe_refusal_text_is_pinned(self, capsys, recipe, message):
+        code, out, err = run(capsys, "homology", "--X", recipe)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("field", ["ranks", "boundaries"])
     def test_complex_file_degree_past_the_limit_is_two(self, capsys, tmp_path, field):

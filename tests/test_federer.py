@@ -237,6 +237,14 @@ class TestHopfWhitney:
         with pytest.raises(RefusedHypothesis, match="suspension"):
             relative_hopf_whitney(projective(2), Z)
 
+    def test_relative_refusals_keep_their_order(self):
+        # the shape is tested first; a suspension-shaped source of dimension
+        # < 2 (only the empty wedge) gets the absolute calculator's refusal
+        with pytest.raises(RefusedHypothesis, match="dimension >= 2, got 0"):
+            relative_hopf_whitney(wedge([]), Z)
+        with pytest.raises(RefusedHypothesis, match="suspension"):
+            relative_hopf_whitney(sphere(1), Z)
+
 
 class TestMooreHomotopySes:
     def test_both_ends_determined(self):

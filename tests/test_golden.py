@@ -20,14 +20,14 @@ from ahom.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 ABS = "{golden}/abs-table.json"
 REL = "{golden}/rel-table.json"
-FILE = "file:{golden}/complex.json"
+COMPLEX_FILE = "file:{golden}/complex.json"
 
 # case name -> (argv, expected exit code)
 CASES = {
-    "homology-text": (["homology", "--X", FILE], 0),
+    "homology-text": (["homology", "--X", COMPLEX_FILE], 0),
     "homology-json": (["homology", "--X", "rp:6", "--out", "json"], 0),
     "cohomology-text": (["cohomology", "--X", "rp:4", "--coefficients", "Z/2+Z"], 0),
-    "cohomology-json": (["cohomology", "--X", FILE, "--coefficients", "Z/6",
+    "cohomology-json": (["cohomology", "--X", COMPLEX_FILE, "--coefficients", "Z/6",
                          "--degree", "2", "--out", "json"], 0),
     "ahomology-text": (["ahomology", "--A", "rp:3", "--X", "moore:Z/2:3"], 0),
     "ahomology-json": (["ahomology", "--A", "moore:Z/3:2", "--X", "rp:4",
