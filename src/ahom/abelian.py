@@ -12,7 +12,7 @@ is exact, not modular.  The two central objects are
   isomorphic exactly when they compare equal.
 
 On top of those sit the column Hermite form and the lattice utilities built
-on it (kernels, column spans, exact linear solving), the Smith normal form
+on it (kernels, exact linear solving), the Smith normal form
 (:func:`snf`, certified or transform-free for :func:`cokernel`), and
 the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
 every homology computation downstream.
@@ -142,12 +142,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("hstack needs equal row counts")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -381,12 +375,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     raw = w.columns(range(len(_leading_rows(h)), m.cols))
     # raw has independent columns, so its Hermite form has no zero column
     return column_echelon(raw)[0]
-
-
-def column_space_basis(m: IntMatrix) -> IntMatrix:
-    """A lattice basis of the column span of m (columns of the result)."""
-    h, _ = column_echelon(m)
-    return h.columns(range(len(_leading_rows(h))))
 
 
 def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:

@@ -15,7 +15,12 @@ generated group is available through two independent routes that must agree:
 :func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology,
 while :func:`cohomology_direct` reduces the actual cochain complex and never
 looks at the integral answer.  It takes the coefficients one cyclic summand
-at a time, each presented by scalar relations on the cochain generators.
+at a time, with one invariants-only Smith reduction each.  For Z/d it uses
+the mapping cone of multiplication by d on the integral cochains, which is
+quasi-isomorphic to the mod-d cochains: H^n(c; Z/d) is finite, so it is the
+whole torsion of one cokernel.  Row signs do not change that cokernel and
+zero rows or columns change only its free part, so absent boundaries build
+nothing.
 """
 
 from __future__ import annotations
@@ -25,19 +30,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .abelian import (
-    FgAbGroup,
-    IntMatrix,
-    canonical_int,
-    cokernel,
-    column_space_basis,
-    composite_is_zero,
-    direct_sum,
-    ext,
-    hom,
-    kernel_basis,
-    solve,
-)
+from .abelian import (FgAbGroup, IntMatrix, canonical_int, cokernel, composite_is_zero,
+                      direct_sum, ext, hom)
+# not called here: the benchmark's tracer rebinds chains.kernel_basis and its tests check that
+from .abelian import kernel_basis  # noqa: F401
 
 
 # The highest cell degree an input may ask for: a few characters of recipe
@@ -196,55 +192,52 @@ def cohomology_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     return direct_sum([hom(homology(c, n), g), ext(homology(c, n - 1), g)])
 
 
-def _presented_subquotient(alpha: IntMatrix, beta: IntMatrix,
-                           rel_prev: IntMatrix, rel_mid: IntMatrix,
-                           rel_next: IntMatrix) -> FgAbGroup:
-    """Homology at the middle of a three-term complex of presented groups.
-
-    The three groups are cokernels of the relation matrices; `alpha` and
-    `beta` act on generators and must carry relations into relations, with
-    beta @ alpha == 0 on the nose.
-    """
-    if solve(rel_mid, alpha @ rel_prev) is None:
-        raise ValueError("incoming map does not preserve relations")
-    if solve(rel_next, beta @ rel_mid) is None:
-        raise ValueError("outgoing map does not preserve relations")
-    if not composite_is_zero(beta, alpha):
-        raise ValueError("composite of the two maps is nonzero")
-    # generators of the kernel of the induced map into coker(rel_next):
-    # project ker [beta | rel_next] onto the generator block
-    paired = kernel_basis(beta.hstack(rel_next))
-    gens = IntMatrix(alpha.rows, paired.cols,
-                     tuple(paired.entries[i] for i in range(alpha.rows)))
-    lattice = column_space_basis(gens)
-    killed = alpha.hstack(rel_mid)
-    coords = solve(lattice, killed)
-    if coords is None:  # the checks above make this unreachable
-        raise ValueError("kernel lattice does not contain the killed part")
-    return cokernel(coords)
-
-
 def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     """H^n(c; g) computed from the honest cochain complex of g-valued cochains.
 
     Hom(C_k, -) is additive, so the complex splits over the cyclic summands
-    Z/d of g.  Each presents its k-cochains by the scalar relations d*I on
-    the ranks(k) generators (none for Z, d = 0), with coboundaries d_k^T:
-    one subquotient is reduced for the free part and one per invariant
-    factor.  The Hom/Ext shortcut is never used.
+    of g; each costs one transform-free :func:`cokernel`.  With
+    alpha = d_n^T and beta = d_(n+1)^T the coboundaries into and out of
+    the n-cochains C^n:
+
+    * Z: im(beta) is free, so ker(beta) is a direct summand of C^n and
+      coker(alpha) is H^n(c; Z) plus rank(beta) free summands.  That pair
+      of reductions serves every Z summand of g.
+    * Z/d: the mod-d cochains are the quotient of C^* by the injective
+      map d, so they are quasi-isomorphic to its mapping cone, whose
+      n-cochains C^(n+1) + C^n are hit by [[-beta, 0], [d*I, alpha]].  The
+      cokernel of that matrix is H^n(c; Z/d) plus a free group (the image
+      of the next cone differential), and H^n(c; Z/d), being killed by d,
+      is finite: it is exactly the torsion of the cokernel.  A row sign
+      does not change a cokernel, a zero column does not either, and a zero
+      row only adds a free summand, so an absent boundary adds no block.
+
+    The Hom/Ext shortcut is never used.
+
+    >>> rp2 = ChainComplex("rp2", {1: 1, 2: 1}, {2: IntMatrix.from_rows([[2]])})
+    >>> print(cohomology_direct(rp2, 2, FgAbGroup.free(1)))
+    Z/2
+    >>> print(cohomology_direct(rp2, 1, FgAbGroup.of(1, [2])))
+    Z/2
     """
-    if c.rank(n) == 0 or g.is_trivial():
+    r = c.rank(n)
+    if r == 0 or g.is_trivial():
         return FgAbGroup.trivial()
-    alpha = c.boundary(n).transpose()
-    beta = c.boundary(n + 1).transpose()
-
-    def summand(d: int) -> FgAbGroup:
-        rel = [IntMatrix.diagonal([d] * c.rank(k)) if d else IntMatrix.zeros(c.rank(k), 0)
-               for k in (n - 1, n, n + 1)]
-        return _presented_subquotient(alpha, beta, *rel)
-
-    free = [summand(0)] * g.free_rank if g.free_rank else []
-    return direct_sum(free + [summand(d) for d in g.invariant_factors])
+    lower, upper = c.boundaries.get(n), c.boundaries.get(n + 1)
+    alpha = lower.transpose().entries if lower is not None else ((),) * r
+    beta = upper.transpose().entries if upper is not None else ()
+    zero = (0,) * len(alpha[0])
+    parts = []
+    if g.free_rank:
+        coker = cokernel(IntMatrix(r, len(zero), alpha))
+        rank_beta = r - cokernel(upper).free_rank if upper is not None else 0
+        parts += [FgAbGroup(coker.free_rank - rank_beta, coker.invariant_factors)] * g.free_rank
+    for d in g.invariant_factors:
+        cone = tuple(row + zero for row in beta) + tuple(
+            e + a for e, a in zip(IntMatrix.diagonal([d] * r).entries, alpha))
+        parts.append(FgAbGroup(0, cokernel(IntMatrix(len(cone), r + len(zero), cone))
+                               .invariant_factors))
+    return direct_sum(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ from .federer import (
 from .spaces import build, parse_recipe
 
 
+def _integer(text: str) -> int:
+    """An integer option's value; argparse names the option when it is refused."""
+    return canonical_int(text, "integer", argparse.ArgumentTypeError)
+
+
 def _build_complex(recipe_text: str):
     return build(parse_recipe(recipe_text))
 
@@ -211,14 +216,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", parents=[common],
                        help="integral homology of a complex")
     p.add_argument("--X", required=True, metavar="RECIPE")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_integer, default=None)
     p.set_defaults(func=_cmd_homology)
 
     p = sub.add_parser("cohomology", parents=[common],
                        help="cohomology with coefficients in a group")
     p.add_argument("--X", required=True, metavar="RECIPE")
     p.add_argument("--coefficients", required=True, metavar="GROUP")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_integer, default=None)
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("ahomology", parents=[common],
@@ -237,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="positional collapse analysis of one total degree")
     p.add_argument("--A", required=True, metavar="RECIPE")
     p.add_argument("--table", required=True, metavar="PATH")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_integer)
     p.set_defaults(func=_cmd_diagonal)
 
     p = sub.add_parser("hopf-whitney", parents=[common],
@@ -251,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moore-ses", parents=[common],
                        help="Moore-coefficient bounds on shaped homotopy groups")
     p.add_argument("--G", required=True, metavar="GROUP")
-    p.add_argument("--m", required=True, type=int)
+    p.add_argument("--m", required=True, type=_integer)
     p.add_argument("--table", required=True, metavar="PATH")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_integer)
     p.set_defaults(func=_cmd_moore_ses)
 
     p = sub.add_parser("torsion-check", parents=[common],
@@ -267,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the suspension and wedge axiom checks")
     p.add_argument("--A", required=True, metavar="RECIPE")
     p.add_argument("--X", required=True, metavar="RECIPE")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_integer, default=None)
     p.set_defaults(func=_cmd_axioms)
 
     p = sub.add_parser("corpus", parents=[common],

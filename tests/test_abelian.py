@@ -13,7 +13,6 @@ from ahom.abelian import (
     PrimeSet,
     cokernel,
     column_echelon,
-    column_space_basis,
     composite_is_zero,
     direct_sum,
     exponent,
@@ -284,15 +283,6 @@ class TestLatticeUtilities:
         dec = snf(m)
         smith_kernel, _ = column_echelon(dec.V.columns(range(dec.rank, m.cols)))
         assert kernel_basis(m) == smith_kernel
-
-    @settings(max_examples=100, deadline=None)
-    @given(matrices)
-    def test_column_space_basis(self, m):
-        b = column_space_basis(m)
-        assert b.cols == snf(m).rank
-        # every generator of the span solves through the basis and vice versa
-        assert solve(b, m) is not None
-        assert solve(m, b) is not None
 
     def test_solve_exact_and_unsolvable(self):
         m = IntMatrix.diagonal([2, 3])

@@ -260,6 +260,42 @@ class TestCohomology:
         assert [cohomology_direct(c, n, g) for n in range(5)] == expected
 
 
+    def test_direct_does_no_lattice_solving(self, monkeypatch):
+        g = FgAbGroup.of(2, [2, 6])
+        complexes = [projective(4), wedge([moore(Z2, 1), sphere(2)]),
+                     random_complex(random.Random(29))]
+        expected = [[cohomology_uct(c, n, g) for n in range(c.top_degree + 2)]
+                    for c in complexes]
+
+        def refuse(*args):
+            raise AssertionError("the cochain route solved a lattice problem")
+
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return cokernel(m)
+
+        monkeypatch.setattr(chains, "kernel_basis", refuse)
+        monkeypatch.setattr(chains, "cokernel", counting)
+        for c, groups in zip(complexes, expected):
+            for n, want in enumerate(groups):
+                calls.clear()
+                assert cohomology_direct(c, n, g) == want, (c.name, n)
+                # at most two for the free part, one per invariant factor
+                assert len(calls) <= 2 + len(g.invariant_factors)
+
+    def test_direct_builds_no_block_for_an_absent_boundary(self, monkeypatch):
+        c = ChainComplex("free", {1: 200, 2: 200, 3: 200}, {})
+
+        def refuse(*args):
+            raise AssertionError("the cochain route built a zero matrix")
+
+        monkeypatch.setattr(IntMatrix, "zeros", refuse)
+        monkeypatch.setattr(ChainComplex, "boundary", refuse)
+        assert cohomology_direct(c, 2, FgAbGroup.of(1, [2])) == FgAbGroup.of(200, [2] * 200)
+
+
 class TestConstructions:
     def test_suspension_of_sphere(self):
         s = suspension(sphere(3))

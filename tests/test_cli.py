@@ -186,6 +186,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert shown in err and "canonical" in err
 
+    @pytest.mark.parametrize("argv, option, text", [
+        (("homology", "--X", "sphere:3", "--degree"), "--degree", "1_0"),
+        (("cohomology", "--X", "sphere:3", "--coefficients", "Z", "--degree"), "--degree", "+3"),
+        (("diagonal", "--A", "rp:2", "--table", "{table}", "--n"), "--n", " 2"),
+        (("moore-ses", "--G", "Z/2", "--m", "1", "--table", "{table}", "--n"), "--n", "03"),
+        (("moore-ses", "--G", "Z/2", "--table", "{table}", "--n", "3", "--m"), "--m", "\u0661"),
+        (("axioms", "--A", "rp:2", "--X", "rp:2", "--n"), "--n", "2 "),
+    ], ids=["homology-degree", "cohomology-degree", "diagonal-n", "moore-ses-n",
+            "moore-ses-m", "axioms-n"])
+    def test_non_canonical_integer_option_is_two(self, capsys, table_file, argv, option, text):
+        code, out, err = run(capsys, *(a.replace("{table}", table_file) for a in argv), text)
+        assert (code, out) == (2, "")
+        assert f"argument {option}: bad integer: {text!r} is not a canonical" in err
+
     @pytest.mark.parametrize("ranks, shown", [
         ({"1_0": 1}, "'1_0'"),
         ({"2": 1, "02": 3}, "'02'"),
