@@ -542,9 +542,10 @@ def _summand_int(token: str, what: str, least: int) -> int:
 
 def cokernel(m: IntMatrix) -> FgAbGroup:
     """Z^rows / (column span of m), in canonical form: one :func:`snf`
-    without a certificate, so no transform work is done."""
+    without a certificate, so no transform work is done.  Its diagonal is
+    already a divisor chain, so no :meth:`FgAbGroup.of` pass follows."""
     dec = snf(m, certificate=False)
-    return FgAbGroup.of(m.rows - dec.rank, (d for d in dec.diagonal if d > 1))
+    return FgAbGroup(m.rows - dec.rank, tuple(d for d in dec.diagonal if d > 1))
 
 
 def hom(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:

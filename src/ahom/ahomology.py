@@ -1,9 +1,11 @@
 """Homology shaped by a finite complex A.
 
 For a finite-dimensional complex A and a connected complex X, the degree-n
-shaped homology of X is the finite direct sum of the cohomology groups
-H^(j-n)(A; H_j(X)) over the degrees j carrying homology of X.  That formula
-is the single computation route here; no symmetric-product model is ever
+shaped homology of X (n >= 0) is the finite direct sum of the cohomology
+groups H^(j-n)(A; H_j(X)) over the degrees j where X has homology: by
+Dold-Thom it is [S^n A, SP X] = [S^n A, prod_j K(H_j X, j)], so a degree
+with H_j(X) = 0 contributes nothing and is never visited.  That formula is
+the single computation route here; no symmetric-product model is ever
 built.  With A the based 0-sphere the theory collapses to ordinary reduced
 homology, which is one of the corpus checks.
 
@@ -19,37 +21,29 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .abelian import FgAbGroup, direct_sum, ext, hom
-from .chains import (
-    ChainComplex,
-    GradedGroups,
-    cohomology_uct,
-    connectivity_bounds,
-    homology,
-    suspension,
-    wedge,
-)
+from .chains import ChainComplex, cohomology_uct, homology, suspension, wedge
 from .spaces import moore
 
 
 def a_homology(a: ChainComplex, x: ChainComplex, n: int) -> FgAbGroup:
     """The degree-n homology of x shaped by a.
 
-    Sums cohomology_uct(a, j-n, H_j(x)) over j in [max(1, n),
-    min(dim x, n + dim a)]; the omitted terms vanish because a carries no
-    cohomology outside [0, dim a] and x no homology outside [1, dim x].
+    Sums cohomology_uct(a, j-n, H_j(x)) over the degrees j >= 1 of
+    ``x.graded_homology`` with 0 <= j-n <= dim a; every other term vanishes,
+    since a carries no cohomology outside [0, dim a].  The theory is
+    [S^n A, SP X], so a negative n raises ValueError.
     """
     if n < 0:
-        return FgAbGroup.trivial()
-    lo = max(1, n)
-    hi = min(x.top_degree, n + a.top_degree)
-    return direct_sum([cohomology_uct(a, j - n, homology(x, j))
-                       for j in range(lo, hi + 1)])
+        raise ValueError(f"shaped homology needs a degree n >= 0, got n = {n}")
+    return direct_sum([cohomology_uct(a, j - n, h) for j, h in x.graded_homology.items()
+                       if j >= 1 and 0 <= j - n <= a.top_degree])
 
 
 @dataclass(frozen=True)
 class AHomologyReport:
     """Shaped homology of x over all degrees, with the vanishing window.
 
+    `groups` holds every degree from 0 to dim x + 1, trivial ones included.
     `range` is the closed degree interval outside which every group must be
     trivial, derived from the homological connectivity and dimension of both
     complexes; an empty window is (0, -1).  `violations` lists degrees where
@@ -60,7 +54,7 @@ class AHomologyReport:
     a_name: str
     x_name: str
     range: tuple[int, int]
-    groups: GradedGroups
+    groups: dict[int, FgAbGroup]
     assumptions: tuple[str, ...]
     violations: tuple[str, ...] = ()
 
@@ -71,24 +65,20 @@ def a_homology_range(a: ChainComplex, x: ChainComplex) -> AHomologyReport:
     With lo(c) the lowest nonzero-homology degree, a nonzero group needs
     lo(x) - dim(a) <= n <= dim(x) - lo(a): the summand at j demands both
     j - n <= dim(a) with j >= lo(x) and j - n >= lo(a) with j <= dim(x).
+    As lo(a) >= 0, the window never reaches past dim(x), the last degree
+    but one that is printed.
     """
-    lo_a, dim_a = connectivity_bounds(a)
-    lo_x, dim_x = connectivity_bounds(x)
-    if lo_a is None or lo_x is None:
-        window = (0, -1)
-    else:
-        window = (max(0, lo_x - dim_a), dim_x - lo_a)
-    scan_hi = max(dim_x + 1, window[1] + 1, 0)
-    computed = {n: a_homology(a, x, n) for n in range(scan_hi + 1)}
+    ha, hx = a.graded_homology, x.graded_homology
+    window = (max(0, min(hx) - a.top_degree), x.top_degree - min(ha)) if ha and hx else (0, -1)
+    groups = {n: a_homology(a, x, n) for n in range(x.top_degree + 2)}
     violations = tuple(
-        f"nonzero group {computed[n]} at degree {n} outside window {window}"
-        for n in sorted(computed)
-        if not computed[n].is_trivial() and not window[0] <= n <= window[1])
+        f"nonzero group {g} at degree {n} outside window {window}"
+        for n, g in groups.items() if not g.is_trivial() and not window[0] <= n <= window[1])
     return AHomologyReport(
         a_name=a.name,
         x_name=x.name,
         range=window,
-        groups=GradedGroups.of(0, scan_hi, computed),
+        groups=groups,
         assumptions=_assumptions(a, x),
         violations=violations,
     )
@@ -109,8 +99,7 @@ def _assumptions(a: ChainComplex, x: ChainComplex) -> tuple[str, ...]:
 
 def render_report(report: AHomologyReport) -> str:
     lines = [f"A = {report.a_name}", f"X = {report.x_name}"]
-    for n in range(report.groups.lo, report.groups.hi + 1):
-        lines.append(f"H^A_{n}(X) = {report.groups.group_at(n)}")
+    lines.extend(f"H^A_{n}(X) = {g}" for n, g in report.groups.items())
     for violation in report.violations:
         lines.append(f"INTERNAL CONSISTENCY FAILURE: {violation}")
     lines.append("assumptions:")
@@ -119,8 +108,7 @@ def render_report(report: AHomologyReport) -> str:
 
 
 def report_to_json(report: AHomologyReport) -> dict:
-    out: dict = {str(n): str(report.groups.group_at(n))
-                 for n in range(report.groups.lo, report.groups.hi + 1)}
+    out: dict = {str(n): str(g) for n, g in report.groups.items()}
     out["assumptions"] = list(report.assumptions)
     if report.violations:
         out["violations"] = list(report.violations)

@@ -8,9 +8,10 @@ simply absent and mean rank 0.
 
 Integral homology takes one invariants-only Smith reduction per boundary
 matrix: H_n is coker(d_(n+1)) less rank(d_n) free summands.  A complex
-reduces each boundary once, on first use, and keeps the result as
-:attr:`ChainComplex.graded_homology`; :func:`homology` and everything built
-on it read that value.  Cohomology with coefficients in a finitely
+reduces each boundary once, on first use, and keeps the nonzero groups as
+the dict :attr:`ChainComplex.graded_homology`; :func:`homology` and
+everything built on it read that value, and shaped homology sums over its
+degrees only.  Cohomology with coefficients in a finitely
 generated group is available through two independent routes that must agree:
 :func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology,
 while :func:`cohomology_direct` reduces the actual cochain complex and never
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .abelian import (FgAbGroup, IntMatrix, canonical_int, cokernel, composite_is_zero,
                       direct_sum, ext, hom)
@@ -128,8 +129,9 @@ class ChainComplex:
         return mat
 
     @cached_property
-    def graded_homology(self) -> GradedGroups:
-        """All reduced homology groups, from one reduction of each boundary.
+    def graded_homology(self) -> dict[int, FgAbGroup]:
+        """The nonzero reduced homology groups by degree, from one reduction
+        of each boundary; a degree absent from the dict has trivial homology.
 
         Since im(d_n) is free, ker(d_n) is a direct summand of C_n holding
         im(d_(n+1)), so coker(d_(n+1)) = H_n + Z^(rank d_n): H_n keeps the
@@ -141,36 +143,13 @@ class ChainComplex:
         cokernels = {n: cokernel(self.boundaries[n + 1]) if n + 1 in self.boundaries
                      else FgAbGroup.free(r) for n, r in self.ranks.items()}
         none = FgAbGroup.trivial()
-        return GradedGroups.of(0, self.top_degree, {
-            n: FgAbGroup(g.free_rank - self.rank(n - 1) + cokernels.get(n - 1, none).free_rank,
-                         g.invariant_factors)
-            for n, g in cokernels.items()})
+        groups = ((n, FgAbGroup(g.free_rank - self.rank(n - 1)
+                                + cokernels.get(n - 1, none).free_rank, g.invariant_factors))
+                  for n, g in cokernels.items())
+        return {n: h for n, h in groups if not h.is_trivial()}
 
 
 TRIVIAL_COMPLEX = ChainComplex("pt", {}, {})
-
-
-@dataclass(frozen=True)
-class GradedGroups:
-    """A finite family of groups indexed by degree; absent degrees are trivial."""
-
-    lo: int
-    hi: int
-    entries: dict[int, FgAbGroup]
-
-    def __post_init__(self):
-        for n, g in self.entries.items():
-            if not self.lo <= n <= self.hi:
-                raise ValueError(f"degree {n} outside range [{self.lo}, {self.hi}]")
-            if g.is_trivial():
-                raise ValueError("trivial entries must be omitted")
-
-    @classmethod
-    def of(cls, lo: int, hi: int, groups: Mapping[int, FgAbGroup]) -> "GradedGroups":
-        return cls(lo, hi, {n: g for n, g in groups.items() if not g.is_trivial()})
-
-    def group_at(self, n: int) -> FgAbGroup:
-        return self.entries.get(n, FgAbGroup.trivial())
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +160,10 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
     """ker(d_n) / im(d_{n+1}) in canonical form; reduced by convention.
 
     Read off ``c.graded_homology``: the first call on a complex reduces
-    every boundary matrix, later calls reduce nothing.  Degrees outside
-    [0, top_degree] yield the trivial group.
+    every boundary matrix, later calls reduce nothing.  A degree without
+    homology, including any outside [0, top_degree], yields the trivial group.
     """
-    return c.graded_homology.group_at(n)
+    return c.graded_homology.get(n, FgAbGroup.trivial())
 
 
 def cohomology_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
@@ -266,16 +245,6 @@ def wedge(cs: Sequence[ChainComplex]) -> ChainComplex:
                   for n in sorted({n for c in cs for n in c.boundaries})}
     name = "wedge(" + ",".join(c.name for c in cs) + ")"
     return ChainComplex(name, ranks, boundaries)
-
-
-def connectivity_bounds(c: ChainComplex) -> tuple[int | None, int]:
-    """(lowest degree with nonzero homology or None, top cell degree).
-
-    This is the homological stand-in for connectivity and dimension; it
-    cannot certify simple connectivity, which callers must assert.
-    """
-    degrees = c.graded_homology.entries
-    return (min(degrees) if degrees else None), c.top_degree
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The oracles here enumerate group elements or cochains, factor orders or
 invert over the rationals, and never touch the Smith-form machinery they are
-used to check.  The exceptions are the per-entry reference Hermite pass and
-the smash product with its Kunneth formula, which reduce through the library
-on purpose.
+used to check.  The exceptions are the per-entry reference Hermite pass,
+the degree-window sum for shaped homology, and the smash product with its
+Kunneth formula, which reduce through the library on purpose.
 """
 
 import math
@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, direct_sum
-from ahom.chains import ChainComplex, homology
+from ahom.chains import ChainComplex, cohomology_uct, homology
 from ahom.federer import TABLE_START, HomotopyTable
 
 
@@ -99,6 +99,13 @@ def brute_ext_order(g: FgAbGroup, h: FgAbGroup) -> int:
         }
         count *= h.order() // len(image)
     return count
+
+
+def window_a_homology(a: ChainComplex, x: ChainComplex, n: int) -> FgAbGroup:
+    """Reference shaped homology: one Hom/Ext term for every degree j in
+    [max(1, n), min(dim x, n + dim a)], trivial H_j included."""
+    return direct_sum([cohomology_uct(a, j - n, homology(x, j))
+                       for j in range(max(1, n), min(x.top_degree, n + a.top_degree) + 1)])
 
 
 def divides(a, b) -> bool:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahom.abelian import FgAbGroup, exponent
 from ahom.ahomology import (
@@ -15,7 +17,7 @@ from ahom.ahomology import (
 from ahom.chains import cohomology_uct, homology, suspension, wedge
 from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.spaces import moore, projective, sphere
-from helpers import divides
+from helpers import divides, window_a_homology
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -56,16 +58,41 @@ class TestFormula:
         assert a_homology(a, x, 2) == Z2  # Hom(Z/2, Z/2) from H^1(A; Z/2)
         assert a_homology(a, x, 3) == TRIVIAL
 
-    def test_negative_degree_trivial(self):
-        assert a_homology(projective(2), sphere(4), -1) == TRIVIAL
+    def test_negative_degree_refused(self):
+        # H^A_n is [S^n A, SP X], defined for n >= 0 only; the j = 1 term of
+        # the sum at n = -1 would be H^2(RP^2; Z/2) = Z/2, not 0
+        for x in (sphere(4), projective(2)):
+            with pytest.raises(ValueError, match="n = -1"):
+                a_homology(projective(2), x, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_equals_window_sum(self, seed):
+        rng = random.Random(seed)
+        a = random_complex(rng, max_top=3, max_rank=3)
+        x = random_complex(rng, max_top=4, max_rank=3)
+        for n in range(x.top_degree + a.top_degree + 2):
+            assert a_homology(a, x, n) == window_a_homology(a, x, n), n
 
 
 class TestRangeReport:
     def test_projective_plane_of_four_sphere(self):
         report = a_homology_range(projective(2), sphere(4))
-        nonzero = {n: g for n, g in report.groups.entries.items()}
+        assert list(report.groups) == list(range(6))
+        nonzero = {n: g for n, g in report.groups.items() if g != TRIVIAL}
         assert nonzero == {2: Z2}
         assert report.violations == ()
+
+    def test_window_from_lowest_homology_and_dimension(self):
+        # (max(0, lo(X) - dim A), dim X - lo(A)), lo the lowest degree with homology
+        cases = [(projective(2), sphere(4), (2, 3)),
+                 (sphere(4), moore(FgAbGroup.cyclic(3), 5), (1, 2)),
+                 (moore(FgAbGroup.cyclic(3), 5), projective(2), (0, -3)),
+                 (sphere(0), sphere(2), (2, 2)),
+                 (wedge([]), sphere(2), (0, -1)),
+                 (projective(2), wedge([]), (0, -1))]
+        for a, x, window in cases:
+            assert a_homology_range(a, x).range == window, (a.name, x.name)
 
     def test_sphere_shape_shifts_window(self):
         m = 2
@@ -74,12 +101,13 @@ class TestRangeReport:
         for _ in range(6):
             x = random_complex(rng)
             report = a_homology_range(a, x)
-            for n in range(report.groups.lo, report.groups.hi + 1):
-                assert report.groups.group_at(n) == homology(x, n + m)
+            assert list(report.groups) == list(range(x.top_degree + 2))
+            for n, g in report.groups.items():
+                assert g == homology(x, n + m)
 
     def test_coprime_torsion_annihilates(self):
         report = a_homology_range(moore(Z2, 1), moore(FgAbGroup.cyclic(3), 3))
-        assert report.groups.entries == {}
+        assert report.groups == {n: TRIVIAL for n in range(6)}
         assert report.violations == ()
 
     def test_violations_empty_on_corpus(self):

@@ -12,13 +12,11 @@ from ahom.abelian import FgAbGroup, IntMatrix, cokernel, direct_sum, kernel_basi
 from ahom.chains import (
     ChainComplex,
     DSquaredError,
-    GradedGroups,
     InvalidComplexError,
     ShapeMismatchError,
     cohomology_direct,
     cohomology_uct,
     complex_from_json,
-    connectivity_bounds,
     homology,
     load_complex,
     suspension,
@@ -151,8 +149,7 @@ class TestGradedHomologyCache:
     def test_equals_fresh_per_degree_reduction(self, seed):
         c = random_complex(random.Random(seed))
         fresh = {n: fresh_homology(c, n) for n in range(c.top_degree + 1)}
-        assert c.graded_homology.entries == {n: g for n, g in fresh.items() if g != TRIVIAL}
-        assert (c.graded_homology.lo, c.graded_homology.hi) == (0, c.top_degree)
+        assert c.graded_homology == {n: g for n, g in fresh.items() if g != TRIVIAL}
         for n in range(-1, c.top_degree + 3):
             assert homology(c, n) == fresh_homology(c, n)
 
@@ -190,7 +187,7 @@ class TestGradedHomologyCache:
     def test_free_cells_in_one_degree(self, tmp_path):
         path = tmp_path / "free.json"
         path.write_text(json.dumps({"reduced": True, "ranks": {"2": 3000}, "boundaries": {}}))
-        assert load_complex(str(path)).graded_homology.entries == {2: FgAbGroup.free(3000)}
+        assert load_complex(str(path)).graded_homology == {2: FgAbGroup.free(3000)}
 
 
 class TestCohomology:
@@ -352,19 +349,8 @@ class TestConstructions:
         assert (w.ranks, w.boundaries) == ({1: 600, 2: 600}, {})
         assert peak < 100_000
 
-    def test_connectivity_bounds(self):
-        assert connectivity_bounds(sphere(4)) == (4, 4)
-        assert connectivity_bounds(projective(2)) == (1, 2)
-        assert connectivity_bounds(moore(FgAbGroup.cyclic(3), 5)) == (5, 6)
-        assert connectivity_bounds(sphere(0)) == (0, 0)
-
     def test_graded_groups(self):
-        gg = projective(3).graded_homology
-        assert gg.group_at(1) == Z2
-        assert gg.group_at(2) == TRIVIAL
-        assert gg.group_at(3) == Z
-        with pytest.raises(ValueError):
-            GradedGroups(0, 1, {5: Z})
+        assert projective(3).graded_homology == {1: Z2, 3: Z}
 
 
 class TestFileFormat:

@@ -112,6 +112,21 @@ class TestVerbs:
         assert len(out.splitlines()) == 2 * 14
         assert calls == {"suspension": 1, "wedge": 1}
 
+    def test_axioms_sum_only_where_x_has_homology(self, capsys, monkeypatch):
+        # sphere:64 has homology in degree 64 only, so each of the five sums
+        # at n = 0..64 makes one Hom/Ext call (325) and n = 65 makes none
+        from ahom import ahomology
+        calls = []
+
+        def counted(*args, _fn=ahomology.cohomology_uct):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(ahomology, "cohomology_uct", counted)
+        code, out, _ = run(capsys, "axioms", "--A", "sphere:64", "--X", "sphere:64")
+        assert code == 0 and "FAILS" not in out
+        assert len(calls) <= 330
+
 
 class TestExitCodes:
     def test_refusal_is_one(self, capsys, tmp_path):
@@ -126,6 +141,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "hopf-whitney", "--K", "sphere:1", "--pi", "Z")
         assert code == 1
         assert "dimension" in err
+
+    def test_negative_shaped_homology_degree_is_two(self, capsys):
+        # H^A_n is [S^n A, SP X]: there is no degree -1 to check an axiom at
+        code, out, err = run(capsys, "axioms", "--A", "rp:2", "--X", "rp:2", "--n", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: shaped homology needs a degree n >= 0, got n = -1\n"
 
     def test_table_range_miss_is_one(self, capsys, table_file):
         code, _, err = run(capsys, "moore-ses", "--G", "Z/2", "--m", "1",
