@@ -373,8 +373,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """
     h, w = column_echelon(m)
     raw = w.columns(range(len(_leading_rows(h)), m.cols))
-    # raw has independent columns, so its Hermite form has no zero column
-    return column_echelon(raw)[0]
+    # raw has independent columns, so H has no zero column; W is not tracked
+    return column_echelon(raw, IntMatrix(0, raw.cols, ()))[0]
 
 
 def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:

@@ -6,12 +6,13 @@ entry at degree 0) together with integer boundary matrices whose entries are
 the degrees of the attaching-map composites.  Degrees without cells are
 simply absent and mean rank 0.
 
-Integral homology takes one invariants-only Smith reduction per boundary
-matrix: H_n is coker(d_(n+1)) less rank(d_n) free summands.  A complex
-reduces each boundary once, on first use, and keeps the nonzero groups as
-the dict :attr:`ChainComplex.graded_homology`; :func:`homology` and
-everything built on it read that value, and shaped homology sums over its
-degrees only.  Cohomology with coefficients in a finitely
+Integral homology first splits off each cell pair joined by a +-1
+incidence, a contractible summand, then takes one invariants-only Smith
+reduction per boundary matrix left: H_n is coker(d_(n+1)) less rank(d_n)
+free summands.  A complex reduces once, on first use, and keeps the
+nonzero groups as the dict :attr:`ChainComplex.graded_homology`;
+:func:`homology` and everything built on it read that value, and shaped
+homology sums over its degrees only.  Cohomology with coefficients in a finitely
 generated group is available through two independent routes that must agree:
 :func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology,
 while :func:`cohomology_direct` reduces the actual cochain complex and never
@@ -131,7 +132,8 @@ class ChainComplex:
     @cached_property
     def graded_homology(self) -> dict[int, FgAbGroup]:
         """The nonzero reduced homology groups by degree, from one reduction
-        of each boundary; a degree absent from the dict has trivial homology.
+        of each boundary left once the cell pairs joined by a +-1 incidence
+        are split off; a degree absent from the dict has trivial homology.
 
         Since im(d_n) is free, ker(d_n) is a direct summand of C_n holding
         im(d_(n+1)), so coker(d_(n+1)) = H_n + Z^(rank d_n): H_n keeps the
@@ -140,13 +142,50 @@ class ChainComplex:
         use and kept on the instance; it is derived from the fields, so
         equality and the file form ignore it.
         """
-        cokernels = {n: cokernel(self.boundaries[n + 1]) if n + 1 in self.boundaries
-                     else FgAbGroup.free(r) for n, r in self.ranks.items()}
+        ranks, boundaries = _unit_reduced(self.ranks, self.boundaries)
+        cokernels = {n: cokernel(boundaries[n + 1]) if n + 1 in boundaries
+                     else FgAbGroup.free(r) for n, r in ranks.items()}
         none = FgAbGroup.trivial()
-        groups = ((n, FgAbGroup(g.free_rank - self.rank(n - 1)
+        groups = ((n, FgAbGroup(g.free_rank - ranks.get(n - 1, 0)
                                 + cokernels.get(n - 1, none).free_rank, g.invariant_factors))
                   for n, g in cokernels.items())
         return {n: h for n, h in groups if not h.is_trivial()}
+
+
+def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
+                  ) -> tuple[dict[int, int], dict[int, IntMatrix]]:
+    """Nonzero ranks and boundaries of a complex with the same homology and
+    no boundary entry +-1.  Each step takes the unit p = d_n[t][s] in the
+    first row holding one; cells s and t span a summand Z -> Z after a
+    unimodular change of basis, so d_n becomes the Schur complement of p (row
+    k -= d_n[k][s]*p*row t), d_(n+1) loses row s and d_(n-1) column t.  The
+    pivots in one boundary have determinant +-1: entries left are its minors.
+    """
+    ranks = dict(ranks)
+    d = {n: [list(row) for row in m.entries] for n, m in boundaries.items()}
+    for n, rows in sorted(d.items()):
+        while True:
+            t = next((i for i, row in enumerate(rows) if 1 in row or -1 in row), None)
+            if t is None:
+                break
+            top = rows.pop(t)
+            s = top.index(1) if 1 in top else top.index(-1)
+            p = top.pop(s)
+            support = [j for j, y in enumerate(top) if y]
+            for row in rows:
+                f = row.pop(s) * p
+                if f:
+                    for j in support:
+                        row[j] -= f * top[j]
+            for row in d.get(n - 1, ()):
+                del row[t]
+            if n + 1 in d:
+                del d[n + 1][s]
+            ranks[n] -= 1
+            ranks[n - 1] -= 1
+    ranks = {n: r for n, r in ranks.items() if r}
+    return ranks, {n: IntMatrix(ranks[n - 1], ranks[n], tuple(map(tuple, rows)))
+                   for n, rows in d.items() if any(map(any, rows))}
 
 
 TRIVIAL_COMPLEX = ChainComplex("pt", {}, {})

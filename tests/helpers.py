@@ -3,8 +3,9 @@
 The oracles here enumerate group elements or cochains, factor orders or
 invert over the rationals, and never touch the Smith-form machinery they are
 used to check.  The exceptions are the per-entry reference Hermite pass,
-the degree-window sum for shaped homology, and the smash product with its
-Kunneth formula, which reduce through the library on purpose.
+the degree-window sum for shaped homology, the unreduced graded homology,
+and the smash product with its Kunneth formula, which reduce through the
+library on purpose.
 """
 
 import math
@@ -12,7 +13,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
-from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, direct_sum
+from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, cokernel, direct_sum
 from ahom.chains import ChainComplex, cohomology_uct, homology
 from ahom.federer import TABLE_START, HomotopyTable
 
@@ -106,6 +107,69 @@ def window_a_homology(a: ChainComplex, x: ChainComplex, n: int) -> FgAbGroup:
     [max(1, n), min(dim x, n + dim a)], trivial H_j included."""
     return direct_sum([cohomology_uct(a, j - n, homology(x, j))
                        for j in range(max(1, n), min(x.top_degree, n + a.top_degree) + 1)])
+
+
+def unreduced_graded_homology(c: ChainComplex) -> dict[int, FgAbGroup]:
+    """The nonzero homology groups by degree, from one Smith reduction of
+    every input boundary, with no cell pair split off first.
+
+    coker(d_(n+1)) = H_n + Z^(rank d_n), and rank d_n = c_(n-1) - free rank
+    of coker(d_n).
+    """
+    cokernels = {n: cokernel(c.boundaries[n + 1]) if n + 1 in c.boundaries
+                 else FgAbGroup.free(r) for n, r in c.ranks.items()}
+    none = FgAbGroup.trivial()
+    groups = ((n, FgAbGroup(g.free_rank - c.rank(n - 1)
+                            + cokernels.get(n - 1, none).free_rank, g.invariant_factors))
+              for n, g in cokernels.items())
+    return {n: h for n, h in groups if not h.is_trivial()}
+
+
+def scrambled_complex(rng, pieces, mixes: int = 3) -> tuple[ChainComplex, dict[int, FgAbGroup]]:
+    """A complex with planted homology, and that homology as a dict.
+
+    `pieces` lists (degree n, kind, value): a "free" cell in degree n, or a
+    pair of cells in degrees n and n + 1 joined by the incidence `value`,
+    where kind "unit" (value +-1) is contractible and kind "torsion" (value
+    d >= 2) adds Z/d to H_n.  Cells are shuffled in each degree, then
+    `mixes` x rank(n) elementary column operations on d_n, each with the
+    inverse row operation on d_(n+1), make the matrices dense while keeping
+    d*d = 0 and the homology.
+    """
+    ranks: Counter = Counter()
+    for n, kind, _ in pieces:
+        ranks[n] += 1
+        if kind != "free":
+            ranks[n + 1] += 1
+    cells = {n: rng.sample(range(r), r) for n, r in ranks.items()}
+    d = {n: [[0] * r for _ in range(ranks[n - 1])] for n, r in ranks.items() if ranks[n - 1]}
+    planted: dict[int, FgAbGroup] = {}
+    for n, kind, value in pieces:
+        i = cells[n].pop()
+        if kind == "free":
+            planted[n] = direct_sum([planted.get(n, FgAbGroup()), FgAbGroup.free(1)])
+            continue
+        d[n + 1][i][cells[n + 1].pop()] = value
+        if kind == "torsion":
+            planted[n] = direct_sum([planted.get(n, FgAbGroup()), FgAbGroup.cyclic(value)])
+    for n, r in ranks.items():
+        low, high = d.get(n), d.get(n + 1)
+        for _ in range(mixes * r if r > 1 else 0):
+            i, j = rng.sample(range(r), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            for row in low or ():  # column j of d_n += k * column i
+                row[j] += k * row[i]
+            if high is not None:  # row i of d_(n+1) -= k * row j
+                high[i] = [a - k * b for a, b in zip(high[i], high[j])]
+    c = ChainComplex("scrambled", dict(ranks),
+                     {n: IntMatrix.from_rows(rows, cols=ranks[n]) for n, rows in d.items()})
+    return c, planted
+
+
+def hadamard_square(m: IntMatrix) -> int:
+    """The square of the Hadamard bound of m: the product of the squared
+    column norms, each at least 1, bounds the square of every minor of m."""
+    return math.prod(max(1, sum(x * x for x in col)) for col in zip(*m.entries))
 
 
 def divides(a, b) -> bool:

@@ -2,12 +2,13 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahom import chains
+from ahom import abelian, chains
 from ahom.abelian import FgAbGroup, IntMatrix, cokernel, direct_sum, kernel_basis, snf, solve
 from ahom.chains import (
     ChainComplex,
@@ -24,7 +25,8 @@ from ahom.chains import (
 )
 from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.spaces import moore, projective, sphere
-from helpers import brute_cohomology_orders, complex_to_json, kunneth, order_counts, smash
+from helpers import (brute_cohomology_orders, complex_to_json, hadamard_square, kunneth,
+                     order_counts, scrambled_complex, smash, unreduced_graded_homology)
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -176,9 +178,11 @@ class TestGradedHomologyCache:
         assert homology(c, 3) == Z2
         first = len(calls)
         assert first > 0
-        # the first read reduces each boundary matrix exactly once; degrees
-        # 2, 4 and 6 have none above them (d_3 = d_5 = 0) and make no call
-        assert sorted(map(id, calls)) == sorted(map(id, c.boundaries.values()))
+        # the first read reduces each nonzero reduced boundary exactly once;
+        # projective(6) has no +-1 entry, so those are its boundaries, by value
+        assert first == len(chains._unit_reduced(c.ranks, c.boundaries)[1])
+        assert (sorted((m.rows, m.cols, m.entries) for m in calls)
+                == sorted((m.rows, m.cols, m.entries) for m in c.boundaries.values()))
         assert homology(c, 3) == Z2
         assert homology(c, 5) == Z2
         assert cohomology_uct(c, 4, Z) == Z2
@@ -188,6 +192,82 @@ class TestGradedHomologyCache:
         path = tmp_path / "free.json"
         path.write_text(json.dumps({"reduced": True, "ranks": {"2": 3000}, "boundaries": {}}))
         assert load_complex(str(path)).graded_homology == {2: FgAbGroup.free(3000)}
+
+
+def planted_pieces(rng, top, count, kinds=("unit", "unit", "torsion", "free")):
+    """`count` random (degree, kind, value) pieces for scrambled_complex."""
+    values = {"unit": lambda: rng.choice((1, -1)), "torsion": lambda: rng.randint(2, 6),
+              "free": lambda: 1}
+    return [(rng.randint(0, top), kind, values[kind]())
+            for kind in (rng.choice(kinds) for _ in range(count))]
+
+
+class TestUnitReduction:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_equals_unreduced_on_random_complexes(self, seed):
+        c = random_complex(random.Random(seed))
+        assert c.graded_homology == unreduced_graded_homology(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 14))
+    def test_equals_planted_on_scrambled_complexes(self, seed, top, count):
+        rng = random.Random(seed)
+        c, planted = scrambled_complex(rng, planted_pieces(rng, top, count))
+        assert c.graded_homology == planted == unreduced_graded_homology(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 14))
+    def test_residual_entries_within_hadamard_bound(self, seed, top, count):
+        rng = random.Random(seed)
+        c, _ = scrambled_complex(rng, planted_pieces(rng, top, count), mixes=4)
+        ranks, residual = chains._unit_reduced(c.ranks, c.boundaries)
+        for n, m in residual.items():
+            assert (m.rows, m.cols) == (ranks[n - 1], ranks[n])
+            bound = hadamard_square(c.boundaries[n])
+            assert all(x * x <= bound for row in m.entries for x in row)
+
+    def test_contractible_complex(self, monkeypatch):
+        pieces = [(n % 4, "unit", (-1) ** n) for n in range(20)]
+        # scrambled, some pairs keep no unit entry, yet the homology vanishes
+        c, planted = scrambled_complex(random.Random(5), pieces)
+        assert planted == {} == c.graded_homology == unreduced_graded_homology(c)
+        # unscrambled, every pair splits off and no Smith work is left
+        c, _ = scrambled_complex(random.Random(5), pieces, mixes=0)
+        assert chains._unit_reduced(c.ranks, c.boundaries) == ({}, {})
+        monkeypatch.setattr(chains, "cokernel", None)
+        assert c.graded_homology == {}
+
+    def test_boundary_that_empties(self):
+        # d_2 has rank 1 over two cells each side: one pair splits off and
+        # leaves a 1x1 zero boundary, which is dropped
+        c = ChainComplex("e", {1: 2, 2: 2, 3: 1},
+                         {2: IntMatrix.from_rows([[1, 1], [1, 1]]),
+                          3: IntMatrix.from_rows([[3], [-3]])})
+        ranks, residual = chains._unit_reduced(c.ranks, c.boundaries)
+        assert ranks == {1: 1, 2: 1, 3: 1} and list(residual) == [3]
+        assert c.graded_homology == {1: Z, 2: FgAbGroup.cyclic(3)} == unreduced_graded_homology(c)
+        # a pair that takes every cell of degree 1 leaves d_2 with no rows
+        c = ChainComplex("f", {1: 1, 2: 2, 3: 1},
+                         {2: IntMatrix.from_rows([[1, -2]]),
+                          3: IntMatrix.from_rows([[4], [2]])})
+        assert chains._unit_reduced(c.ranks, c.boundaries) == (
+            {2: 1, 3: 1}, {3: IntMatrix.from_rows([[2]])})
+        assert c.graded_homology == {2: Z2} == unreduced_graded_homology(c)
+
+    def test_homology_reaches_smith_through_column_echelon(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("snf", "column_echelon"):
+            monkeypatch.setattr(abelian, name, counting(name, getattr(abelian, name)))
+        assert homology(projective(4), 3) == Z2
+        assert calls["snf"] >= 1 and calls["column_echelon"] >= 2 * calls["snf"]
 
 
 class TestCohomology:

@@ -113,8 +113,8 @@ class TestVerbs:
         assert calls == {"suspension": 1, "wedge": 1}
 
     def test_axioms_sum_only_where_x_has_homology(self, capsys, monkeypatch):
-        # sphere:64 has homology in degree 64 only, so each of the five sums
-        # at n = 0..64 makes one Hom/Ext call (325) and n = 65 makes none
+        # sphere:64 has homology in degree 64 only, so each of the four sums
+        # at n = 0..64 makes one Hom/Ext call (260) and n = 65 makes none
         from ahom import ahomology
         calls = []
 
@@ -126,6 +126,21 @@ class TestVerbs:
         code, out, _ = run(capsys, "axioms", "--A", "sphere:64", "--X", "sphere:64")
         assert code == 0 and "FAILS" not in out
         assert len(calls) <= 330
+
+    def test_axioms_wedge_of_one_piece_twice_sums_it_once(self, capsys, monkeypatch):
+        # per degree n = 0..65: two sums for the suspension axiom, one for the
+        # wedge x v x and one for the piece x, counted twice (4 * 66 = 264)
+        from ahom import ahomology
+        calls = []
+
+        def counted(*args, _fn=ahomology.a_homology):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(ahomology, "a_homology", counted)
+        code, out, _ = run(capsys, "axioms", "--A", "rp:64", "--X", "rp:64")
+        assert code == 0 and "FAILS" not in out
+        assert len(calls) <= 264
 
 
 class TestExitCodes:
