@@ -3,15 +3,19 @@
 Each case runs one verb invocation in-process and compares its exit code,
 stdout and stderr exactly against the files stored under ``golden/``:
 ``<case>.out`` holds stdout and ``<case>.err`` stderr (absent when empty).
+Help and usage texts are wrapped at a fixed 80 columns, whatever the
+terminal.
 After a deliberate output change, rewrite the expected files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -57,13 +61,23 @@ CASES = {
     "refused": (["federer-e2", "--A", "rp:2", "--table",
                  "{golden}/nonabelian-table.json"], 1),
     "malformed": (["hopf-whitney", "--K", "sphere:3", "--pi", "Q"], 2),
+    # argparse's own texts: help, usage and the errors it reports
+    "usage-none": ([], 2),
+    "usage-help": (["--help"], 0),
+    "usage-unknown-verb": (["bogus"], 2),
+    "usage-missing-option": (["homology"], 2),
+    "usage-unrecognized": (["homology", "--X", "rp:2", "--bad"], 2),
+    "usage-verb-help": (["homology", "--help"], 0),
+    "usage-missing-options": (["diagonal", "--A", "rp:2"], 2),
+    "usage-bad-integer": (["homology", "--X", "rp:2", "--degree", "1_0"], 2),
+    "usage-abbreviation": (["hopf-whitney", "--K", "sphere:3", "--pi", "Z/5", "--loop"], 0),
 }
 
 
 def run_case(name: str) -> tuple[int, str, str]:
     argv, _ = CASES[name]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main([a.replace("{golden}", str(GOLDEN)) for a in argv])
     return code, out.getvalue(), err.getvalue()
 
