@@ -141,10 +141,7 @@ def check_suspension_axiom(a: ChainComplex, x: ChainComplex,
     Holds for every connected x; a target with extra 0-cells violates the
     formula's hypothesis and can fail at n = 0.
     """
-    sx = suspension(x)
-    return [AxiomCheck("suspension", a_homology(a, x, n), a_homology(a, sx, n + 1),
-                       f"A={a.name}, X={x.name}, n={n}")
-            for n in degrees]
+    return _suspension_checks(a, x, degrees, _pieces(a, [x], degrees))
 
 
 def check_wedge_axiom(a: ChainComplex, xs: Sequence[ChainComplex],
@@ -155,11 +152,39 @@ def check_wedge_axiom(a: ChainComplex, xs: Sequence[ChainComplex],
 
     As with the suspension axiom, the pieces are assumed connected.
     """
-    w, pieces = wedge(xs), {id(x): x for x in xs}
-    sums = [{key: a_homology(a, x, n) for key, x in pieces.items()} for n in degrees]
+    return _wedge_checks(a, xs, degrees, _pieces(a, xs, degrees))
+
+
+def axiom_checks(a: ChainComplex, x: ChainComplex, degrees: Sequence[int]) -> list[AxiomCheck]:
+    """The suspension check of x and the wedge check of x v x, alternating
+    per degree; H^A_n(x), which both need, is computed once per degree."""
+    pieces = _pieces(a, [x], degrees)
+    pairs = zip(_suspension_checks(a, x, degrees, pieces),
+                _wedge_checks(a, [x, x], degrees, pieces))
+    return [check for pair in pairs for check in pair]
+
+
+def _pieces(a: ChainComplex, xs: Sequence[ChainComplex],
+            degrees: Sequence[int]) -> list[dict[int, FgAbGroup]]:
+    """Per degree in `degrees`, H^A_n of each distinct object in xs, by id."""
+    distinct = {id(x): x for x in xs}
+    return [{key: a_homology(a, x, n) for key, x in distinct.items()} for n in degrees]
+
+
+def _suspension_checks(a: ChainComplex, x: ChainComplex, degrees: Sequence[int],
+                       pieces: list[dict[int, FgAbGroup]]) -> list[AxiomCheck]:
+    sx = suspension(x)
+    return [AxiomCheck("suspension", each[id(x)], a_homology(a, sx, n + 1),
+                       f"A={a.name}, X={x.name}, n={n}")
+            for n, each in zip(degrees, pieces)]
+
+
+def _wedge_checks(a: ChainComplex, xs: Sequence[ChainComplex], degrees: Sequence[int],
+                  pieces: list[dict[int, FgAbGroup]]) -> list[AxiomCheck]:
+    w = wedge(xs)
     return [AxiomCheck("wedge", a_homology(a, w, n), direct_sum([each[id(x)] for x in xs]),
                        f"A={a.name}, pieces={len(xs)}, n={n}")
-            for n, each in zip(degrees, sums)]
+            for n, each in zip(degrees, pieces)]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .abelian import FgAbGroup, PrimeSet, canonical_int, parse_group
-from .ahomology import a_homology_range, check_suspension_axiom, check_wedge_axiom, render_report, report_to_json
+from .ahomology import a_homology_range, axiom_checks, render_report, report_to_json
 from .chains import cohomology_uct, homology
 from .corpus import run_all
 from .federer import (
@@ -186,8 +186,7 @@ def _cmd_axioms(args) -> int:
     a = _build_complex(args.A)
     x = _build_complex(args.X)
     degrees = [args.n] if args.n is not None else list(range(0, x.top_degree + 2))
-    pairs = zip(check_suspension_axiom(a, x, degrees), check_wedge_axiom(a, [x, x], degrees))
-    checks = [check for pair in pairs for check in pair]
+    checks = axiom_checks(a, x, degrees)
     text = "\n".join(c.line() for c in checks)
     data = [{"axiom": c.axiom, "holds": c.holds, "detail": c.detail,
              "left": str(c.left), "right": str(c.right)} for c in checks]
@@ -203,7 +202,41 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_RECIPE = {"required": True, "metavar": "RECIPE"}
+_GROUP = {"required": True, "metavar": "GROUP"}
+_TABLE = ("--table", {"required": True, "metavar": "PATH"})
+_REQUIRED_INT = {"required": True, "type": _integer}
+_OPTIONAL_INT = {"type": _integer}
+
+# verb -> (help, handler, options as (flag, add_argument keywords)), in help order
+VERBS = {
+    "homology": ("integral homology of a complex", _cmd_homology,
+                 [("--X", _RECIPE), ("--degree", _OPTIONAL_INT)]),
+    "cohomology": ("cohomology with coefficients in a group", _cmd_cohomology,
+                   [("--X", _RECIPE), ("--coefficients", _GROUP), ("--degree", _OPTIONAL_INT)]),
+    "ahomology": ("homology of X shaped by the complex A", _cmd_ahomology,
+                  [("--A", _RECIPE), ("--X", _RECIPE)]),
+    "federer-e2": ("assemble the second page for A and a homotopy table", _cmd_federer_e2,
+                   [("--A", _RECIPE), _TABLE]),
+    "diagonal": ("positional collapse analysis of one total degree", _cmd_diagonal,
+                 [("--A", _RECIPE), _TABLE, ("--n", _REQUIRED_INT)]),
+    "hopf-whitney": ("[K,Y] via top cohomology with pi_n(Y) coefficients", _cmd_hopf_whitney,
+                     [("--K", _RECIPE), ("--pi", _GROUP),
+                      ("--loop-space", {"action": "store_true", "help": "assert that Y is a "
+                                        "loop space (upgrades the set to a group)"})]),
+    "moore-ses": ("Moore-coefficient bounds on shaped homotopy groups", _cmd_moore_ses,
+                  [("--G", _GROUP), ("--m", _REQUIRED_INT), _TABLE, ("--n", _REQUIRED_INT)]),
+    "torsion-check": ("torsion-class propagation report", _cmd_torsion_check,
+                      [("--A", _RECIPE), _TABLE,
+                       ("--primes", {"required": True, "metavar": "P1,P2,..."})]),
+    "axioms": ("run the suspension and wedge axiom checks", _cmd_axioms,
+               [("--A", _RECIPE), ("--X", _RECIPE), ("--n", _OPTIONAL_INT)]),
+    "corpus": ("run the built-in verification corpus", _cmd_corpus, []),
+}
+
+
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser for `verb` alone when it names one, else for every verb."""
     parser = argparse.ArgumentParser(
         prog="ahom",
         description="Exact-arithmetic cellular homology, shaped homology and "
@@ -211,79 +244,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", choices=("text", "json"), default="text",
                         help="output mode (default: text)")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("homology", parents=[common],
-                       help="integral homology of a complex")
-    p.add_argument("--X", required=True, metavar="RECIPE")
-    p.add_argument("--degree", type=_integer, default=None)
-    p.set_defaults(func=_cmd_homology)
-
-    p = sub.add_parser("cohomology", parents=[common],
-                       help="cohomology with coefficients in a group")
-    p.add_argument("--X", required=True, metavar="RECIPE")
-    p.add_argument("--coefficients", required=True, metavar="GROUP")
-    p.add_argument("--degree", type=_integer, default=None)
-    p.set_defaults(func=_cmd_cohomology)
-
-    p = sub.add_parser("ahomology", parents=[common],
-                       help="homology of X shaped by the complex A")
-    p.add_argument("--A", required=True, metavar="RECIPE")
-    p.add_argument("--X", required=True, metavar="RECIPE")
-    p.set_defaults(func=_cmd_ahomology)
-
-    p = sub.add_parser("federer-e2", parents=[common],
-                       help="assemble the second page for A and a homotopy table")
-    p.add_argument("--A", required=True, metavar="RECIPE")
-    p.add_argument("--table", required=True, metavar="PATH")
-    p.set_defaults(func=_cmd_federer_e2)
-
-    p = sub.add_parser("diagonal", parents=[common],
-                       help="positional collapse analysis of one total degree")
-    p.add_argument("--A", required=True, metavar="RECIPE")
-    p.add_argument("--table", required=True, metavar="PATH")
-    p.add_argument("--n", required=True, type=_integer)
-    p.set_defaults(func=_cmd_diagonal)
-
-    p = sub.add_parser("hopf-whitney", parents=[common],
-                       help="[K,Y] via top cohomology with pi_n(Y) coefficients")
-    p.add_argument("--K", required=True, metavar="RECIPE")
-    p.add_argument("--pi", required=True, metavar="GROUP")
-    p.add_argument("--loop-space", action="store_true",
-                   help="assert that Y is a loop space (upgrades the set to a group)")
-    p.set_defaults(func=_cmd_hopf_whitney)
-
-    p = sub.add_parser("moore-ses", parents=[common],
-                       help="Moore-coefficient bounds on shaped homotopy groups")
-    p.add_argument("--G", required=True, metavar="GROUP")
-    p.add_argument("--m", required=True, type=_integer)
-    p.add_argument("--table", required=True, metavar="PATH")
-    p.add_argument("--n", required=True, type=_integer)
-    p.set_defaults(func=_cmd_moore_ses)
-
-    p = sub.add_parser("torsion-check", parents=[common],
-                       help="torsion-class propagation report")
-    p.add_argument("--A", required=True, metavar="RECIPE")
-    p.add_argument("--table", required=True, metavar="PATH")
-    p.add_argument("--primes", required=True, metavar="P1,P2,...")
-    p.set_defaults(func=_cmd_torsion_check)
-
-    p = sub.add_parser("axioms", parents=[common],
-                       help="run the suspension and wedge axiom checks")
-    p.add_argument("--A", required=True, metavar="RECIPE")
-    p.add_argument("--X", required=True, metavar="RECIPE")
-    p.add_argument("--n", type=_integer, default=None)
-    p.set_defaults(func=_cmd_axioms)
-
-    p = sub.add_parser("corpus", parents=[common],
-                       help="run the built-in verification corpus")
-    p.set_defaults(func=_cmd_corpus)
-
+    names = [verb] if verb in VERBS else list(VERBS)
+    # with one verb built, a top-level usage line still lists them all
+    metavar = "{" + ",".join(VERBS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, options = VERBS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

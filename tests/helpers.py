@@ -4,8 +4,8 @@ The oracles here enumerate group elements or cochains, factor orders or
 invert over the rationals, and never touch the Smith-form machinery they are
 used to check.  The exceptions are the per-entry reference Hermite pass,
 the degree-window sum for shaped homology, the unreduced graded homology,
-and the smash product with its Kunneth formula, which reduce through the
-library on purpose.
+the Hom complex whose homology is shaped homology, and the smash product
+with its Kunneth formula, which reduce through the library on purpose.
 """
 
 import math
@@ -371,6 +371,40 @@ def smash(x: ChainComplex, y: ChainComplex) -> ChainComplex:
                 rows[below[(p, i, q - 1, j2)]][col] += (-1) ** p * dy.entries[j2][j]
         boundaries[n] = IntMatrix.from_rows(rows, cols=len(cells))
     return ChainComplex(f"smash({x.name},{y.name})",
+                        {n: len(cells) for n, cells in basis.items()}, boundaries)
+
+
+def hom_complex(a: ChainComplex, x: ChainComplex) -> ChainComplex:
+    """Hom(C~(a), C~(x)) as a complex, its degree k stored at k + dim a + 1
+    so that no degree is negative.
+
+    Hom_k is the product over p of Hom(C~_p(a), C~_(p+k)(x)): a basis cell
+    (p, i, j) is the map sending p-cell j of a to (p+k)-cell i of x, and
+    D f = d_x f - (-1)^k f d_a.  As C~(a) is finite and free, the homology in
+    degree k is the sum over j of H^(j-k)(a; H_j(x)), by the Kunneth and
+    universal coefficient theorems: for a connected x and k >= 0 that is the
+    shaped homology of x, reached without the Hom/Ext formula.
+    """
+    shift = a.top_degree + 1
+    basis = defaultdict(list)
+    for p, r in sorted(a.ranks.items()):
+        for q, s in sorted(x.ranks.items()):
+            basis[q - p + shift].extend((p, i, j) for i in range(s) for j in range(r))
+    boundaries = {}
+    for n, cells in basis.items():
+        below = {cell: m for m, cell in enumerate(basis.get(n - 1, ()))}
+        if not below:
+            continue
+        k = n - shift
+        rows = [[0] * len(cells) for _ in below]
+        for col, (p, i, j) in enumerate(cells):
+            dx, da = x.boundaries.get(p + k), a.boundaries.get(p + 1)
+            for i2 in range(dx.rows if dx else 0):
+                rows[below[(p, i2, j)]][col] += dx.entries[i2][i]
+            for j2 in range(da.cols if da else 0):
+                rows[below[(p + 1, i, j2)]][col] -= (-1) ** k * da.entries[j][j2]
+        boundaries[n] = IntMatrix.from_rows(rows, cols=len(cells))
+    return ChainComplex(f"hom({a.name},{x.name})",
                         {n: len(cells) for n, cells in basis.items()}, boundaries)
 
 

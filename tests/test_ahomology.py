@@ -8,6 +8,7 @@ from ahom.abelian import FgAbGroup, exponent
 from ahom.ahomology import (
     a_homology,
     a_homology_range,
+    axiom_checks,
     check_suspension_axiom,
     check_wedge_axiom,
     moore_a_homology_ses,
@@ -17,7 +18,7 @@ from ahom.ahomology import (
 from ahom.chains import cohomology_uct, homology, suspension, wedge
 from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.spaces import moore, projective, sphere
-from helpers import divides, window_a_homology
+from helpers import divides, hom_complex, window_a_homology
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -73,6 +74,18 @@ class TestFormula:
         x = random_complex(rng, max_top=4, max_rank=3)
         for n in range(x.top_degree + a.top_degree + 2):
             assert a_homology(a, x, n) == window_a_homology(a, x, n), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_equals_homology_of_hom_complex(self, seed):
+        # a_homology drops the j = 0 term, which the Hom complex keeps, so x
+        # is connected: it has no 0-cell past the basepoint
+        rng = random.Random(seed)
+        a = random_complex(rng, max_top=3, max_rank=3)
+        x = connected_complex(rng, max_top=4, max_rank=3)
+        h, shift = hom_complex(a, x), a.top_degree + 1
+        for n in range(x.top_degree + 2):
+            assert homology(h, n + shift) == a_homology(a, x, n), n
 
 
 class TestRangeReport:
@@ -172,6 +185,12 @@ class TestAxioms:
         assert check_wedge_axiom(a, [x, x], degrees) == [
             check_wedge_axiom(a, [x, x], [n])[0] for n in degrees]
         assert check_wedge_axiom(a, [x], []) == []
+
+    def test_axiom_checks_alternate_the_two_checkers(self):
+        a, x = projective(3), moore(FgAbGroup.of(1, [2]), 2)
+        degrees = [4, 0, 2, 2]
+        pairs = zip(check_suspension_axiom(a, x, degrees), check_wedge_axiom(a, [x, x], degrees))
+        assert axiom_checks(a, x, degrees) == [check for pair in pairs for check in pair]
 
     def test_suspension_axiom_needs_connected_target(self):
         # the formula presupposes a connected target: an extra 0-cell breaks

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ahom.chains import MAX_DEGREE
-from ahom.cli import main
+from ahom.cli import VERBS, main
 from ahom.spaces import projective
 from helpers import complex_to_json
 
@@ -128,8 +129,9 @@ class TestVerbs:
         assert len(calls) <= 330
 
     def test_axioms_wedge_of_one_piece_twice_sums_it_once(self, capsys, monkeypatch):
-        # per degree n = 0..65: two sums for the suspension axiom, one for the
-        # wedge x v x and one for the piece x, counted twice (4 * 66 = 264)
+        # per degree n = 0..65: one sum for the piece x, shared by both axioms
+        # and counted twice in the wedge, one for its suspension and one for
+        # the wedge x v x (3 * 66 = 198)
         from ahom import ahomology
         calls = []
 
@@ -140,7 +142,7 @@ class TestVerbs:
         monkeypatch.setattr(ahomology, "a_homology", counted)
         code, out, _ = run(capsys, "axioms", "--A", "rp:64", "--X", "rp:64")
         assert code == 0 and "FAILS" not in out
-        assert len(calls) <= 264
+        assert len(calls) <= 198
 
 
 class TestExitCodes:
@@ -355,6 +357,41 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+class TestParserBuild:
+    """A call that names a verb builds that verb's parser alone."""
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        names = []
+
+        def counted(action, name, _fn=argparse._SubParsersAction.add_parser, **kwargs):
+            names.append(name)
+            return _fn(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        return names
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_a_named_verb_adds_one_parser(self, capsys, added, verb):
+        assert main([verb, "--help"]) == 0
+        assert added == [verb]
+
+    def test_a_computing_call_adds_one_parser(self, capsys, added):
+        assert run(capsys, "homology", "--X", "rp:2", "--degree", "1") == (0, "H_1(rp:2) = Z/2\n", "")
+        assert added == ["homology"]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]], ids=["none", "help", "unknown"])
+    def test_no_verb_adds_every_parser_in_table_order(self, capsys, added, argv):
+        main(argv)
+        assert added == list(VERBS) and len(added) == 10
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, added):
+        monkeypatch.setattr(sys, "argv", ["ahom", "homology", "--X", "rp:2"])
+        assert main() == 0
+        assert capsys.readouterr().out == "H_0(rp:2) = 0\nH_1(rp:2) = Z/2\nH_2(rp:2) = 0\n"
+        assert added == ["homology"]
 
 
 class TestDeterminismAndRoundTrip:
