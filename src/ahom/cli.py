@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a theorem hypothesis was not (or cannot be)
 asserted and the computation was refused, 2 for malformed input.  Output is
-deterministic: no timestamps, fixed ordering, sorted JSON keys.
+deterministic: no timestamps, fixed ordering, sorted JSON keys.  The verbs
+are the rows of :data:`VERBS`, and a call builds the parser of the verb it
+names only; with no verb, ``--help`` or an unknown one it builds them all.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def _cmd_corpus(args) -> int:
 
 _RECIPE = {"required": True, "metavar": "RECIPE"}
 _GROUP = {"required": True, "metavar": "GROUP"}
-_TABLE = ("--table", {"required": True, "metavar": "PATH"})
+_PATH = {"required": True, "metavar": "PATH"}
 _REQUIRED_INT = {"required": True, "type": _integer}
 _OPTIONAL_INT = {"type": _integer}
 
@@ -217,17 +219,18 @@ VERBS = {
     "ahomology": ("homology of X shaped by the complex A", _cmd_ahomology,
                   [("--A", _RECIPE), ("--X", _RECIPE)]),
     "federer-e2": ("assemble the second page for A and a homotopy table", _cmd_federer_e2,
-                   [("--A", _RECIPE), _TABLE]),
+                   [("--A", _RECIPE), ("--table", _PATH)]),
     "diagonal": ("positional collapse analysis of one total degree", _cmd_diagonal,
-                 [("--A", _RECIPE), _TABLE, ("--n", _REQUIRED_INT)]),
+                 [("--A", _RECIPE), ("--table", _PATH), ("--n", _REQUIRED_INT)]),
     "hopf-whitney": ("[K,Y] via top cohomology with pi_n(Y) coefficients", _cmd_hopf_whitney,
                      [("--K", _RECIPE), ("--pi", _GROUP),
                       ("--loop-space", {"action": "store_true", "help": "assert that Y is a "
                                         "loop space (upgrades the set to a group)"})]),
     "moore-ses": ("Moore-coefficient bounds on shaped homotopy groups", _cmd_moore_ses,
-                  [("--G", _GROUP), ("--m", _REQUIRED_INT), _TABLE, ("--n", _REQUIRED_INT)]),
+                  [("--G", _GROUP), ("--m", _REQUIRED_INT), ("--table", _PATH),
+                   ("--n", _REQUIRED_INT)]),
     "torsion-check": ("torsion-class propagation report", _cmd_torsion_check,
-                      [("--A", _RECIPE), _TABLE,
+                      [("--A", _RECIPE), ("--table", _PATH),
                        ("--primes", {"required": True, "metavar": "P1,P2,..."})]),
     "axioms": ("run the suspension and wedge axiom checks", _cmd_axioms,
                [("--A", _RECIPE), ("--X", _RECIPE), ("--n", _OPTIONAL_INT)]),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahom.abelian import FgAbGroup, exponent
+from ahom.abelian import FgAbGroup, direct_sum, exponent
 from ahom.ahomology import (
     a_homology,
     a_homology_range,
@@ -75,17 +75,22 @@ class TestFormula:
         for n in range(x.top_degree + a.top_degree + 2):
             assert a_homology(a, x, n) == window_a_homology(a, x, n), n
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32))
     def test_equals_homology_of_hom_complex(self, seed):
         # a_homology drops the j = 0 term, which the Hom complex keeps, so x
-        # is connected: it has no 0-cell past the basepoint
+        # is connected: it has no 0-cell past the basepoint.  Both sides of
+        # each axiom are then checked against the one Hom complex of x.
         rng = random.Random(seed)
         a = random_complex(rng, max_top=3, max_rank=3)
         x = connected_complex(rng, max_top=4, max_rank=3)
         h, shift = hom_complex(a, x), a.top_degree + 1
+        sx, w = suspension(x), wedge([x, x])
         for n in range(x.top_degree + 2):
-            assert homology(h, n + shift) == a_homology(a, x, n), n
+            h_n = homology(h, n + shift)
+            assert a_homology(a, x, n) == h_n, n
+            assert a_homology(a, sx, n + 1) == h_n, n
+            assert a_homology(a, w, n) == direct_sum([h_n, h_n]), n
 
 
 class TestRangeReport:

@@ -379,7 +379,8 @@ class TestParserBuild:
         assert added == [verb]
 
     def test_a_computing_call_adds_one_parser(self, capsys, added):
-        assert run(capsys, "homology", "--X", "rp:2", "--degree", "1") == (0, "H_1(rp:2) = Z/2\n", "")
+        code, out, err = run(capsys, "homology", "--X", "rp:2", "--degree", "1")
+        assert (code, out, err) == (0, "H_1(rp:2) = Z/2\n", "")
         assert added == ["homology"]
 
     @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]], ids=["none", "help", "unknown"])

@@ -77,7 +77,8 @@ CASES = {
 def run_case(name: str) -> tuple[int, str, str]:
     argv, _ = CASES[name]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    columns = mock.patch.dict(os.environ, {"COLUMNS": "80"})
+    with redirect_stdout(out), redirect_stderr(err), columns:
         code = main([a.replace("{golden}", str(GOLDEN)) for a in argv])
     return code, out.getvalue(), err.getvalue()
 
