@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import chain, compress, repeat
+from operator import add, and_, mod, mul, rshift
 from typing import Iterable, Sequence
 
 
@@ -89,8 +90,12 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        """Build from a list of rows; `cols` disambiguates the 0-row case."""
-        data = tuple(tuple(map(int, row)) for row in rows)
+        """Build from a list of rows; `cols` disambiguates the 0-row case.
+        An entry that is not an int (a float, bool, string) is a TypeError."""
+        data = tuple(map(tuple, rows))
+        if not {int}.issuperset(map(type, chain.from_iterable(data))):
+            x = next(x for x in chain.from_iterable(data) if type(x) is not int)
+            raise TypeError(f"matrix entry {x!r} is a {type(x).__name__}, not an int")
         if data:
             width = len(data[0])
         else:
@@ -103,7 +108,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
@@ -185,7 +190,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def composite_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> bool:
     """Whether a @ b is the zero matrix, decided without forming it.
 
     Each row of b is packed into one integer, a base-2^w digit per column
@@ -193,19 +198,37 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
     matching row of a @ b, packed the same way.  Every entry of a @ b is at
     most a.cols * max|a| * max|b| < 2^(w-1) in absolute value, so a packed
     row is zero exactly when each of its digits is: the test is exact.
+    A digit is one item of an `array` of 1, 2, 4 or 8 bytes, sized from that
+    bound, or as many 8-byte limbs as a wider one needs.  `bound`, when
+    given, is max|a| * max|b|.
     """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bound = a.cols * a.max_abs() * b.max_abs()
+    bound = a.cols * (a.max_abs() * b.max_abs() if bound is None else bound)
     if not bound:
         return True
-    width = bound.bit_length() // 8 + 1  # bytes per digit, so 2^(8*width-1) > bound
-    half = 1 << (8 * width - 1)  # shifts every digit of b into [0, 2^(8*width))
-    packed = [int.from_bytes(b"".join(map(int.to_bytes, map(add, row, repeat(half)),
-                                          repeat(width), repeat("little"))), "little")
-              for row in b.entries]
-    shift = half * int.from_bytes((1).to_bytes(width, "little") * b.cols, "little")
-    return not any(sum(map(mul, row, packed)) - shift * sum(row) for row in a.entries)
+    nbytes = bound.bit_length() // 8 + 1  # so 2^(8*nbytes-1) > bound
+    size = min(8, 1 << (nbytes - 1).bit_length())  # bytes per array item
+    limbs, code, bits = -(-nbytes // size), _ITEM_CODES[size], 8 * size
+    half = 1 << (bits * limbs - 1)  # shifts every digit of b into [0, 2^w)
+    digits = array(code, bytes(size * limbs * b.cols))
+    packed = []
+    for row in (*b.entries, (1 - half,) * b.cols):  # the last packs to the sum of 2^(w*j)
+        values = map(add, row, repeat(half))
+        for limb in range(limbs - 1):  # low limbs first
+            values = list(values)
+            digits[limb::limbs] = array(code, map(and_, values, repeat((1 << bits) - 1)))
+            values = map(rshift, values, repeat(bits))
+        digits[limbs - 1::limbs] = array(code, values)
+        if sys.byteorder == "big":  # items are native-endian; each row rewrites them all
+            digits.byteswap()
+        packed.append(int.from_bytes(digits, "little"))
+    shift = half * packed.pop()
+    return not any(sum(map(mul, compress(row, row), compress(packed, row))) - shift * sum(row)
+                   for row in a.entries)
+
+
+_ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}  # array typecodes by size
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +488,17 @@ class FgAbGroup:
         not necessarily a divisor chain; unit factors are dropped.  The chain
         is recovered without any matrix: each pair (a, b) of orders is
         replaced by (gcd(a, b), lcm(a, b)), which keeps Z/a + Z/b fixed.
+        Orders that are sorted into a divisor chain already need no pass.
         """
-        torsion = [int(d) for d in orders if d != 1]
-        for d in torsion:
-            if d < 1:
-                raise ValueError(f"cyclic order {d} must be positive")
-        for i in range(len(torsion)):
-            for j in range(i + 1, len(torsion)):
-                a, b = torsion[i], torsion[j]
-                g = math.gcd(a, b)
-                torsion[i], torsion[j] = g, a // g * b
+        torsion = sorted(int(d) for d in orders if d != 1)
+        if torsion and torsion[0] < 1:
+            raise ValueError(f"cyclic order {torsion[0]} must be positive")
+        if any(map(mod, torsion[1:], torsion)):
+            for i in range(len(torsion)):
+                for j in range(i + 1, len(torsion)):
+                    a, b = torsion[i], torsion[j]
+                    g = math.gcd(a, b)
+                    torsion[i], torsion[j] = g, a // g * b
         return cls(free_rank, tuple(d for d in torsion if d > 1))
 
     # -- queries ------------------------------------------------------

@@ -6,8 +6,9 @@ entry at degree 0) together with integer boundary matrices whose entries are
 the degrees of the attaching-map composites.  Degrees without cells are
 simply absent and mean rank 0.
 
-Integral homology first splits off each cell pair joined by a +-1
-incidence, a contractible summand, then takes one invariants-only Smith
+Integral homology first splits off each cell pair joined by a divisor
+pivot, an entry p that divides its row and column: the pair is a summand
+Z -p-> Z and adds Z/|p|.  Then it takes one invariants-only Smith
 reduction per boundary matrix left: H_n is coker(d_(n+1)) less rank(d_n)
 free summands.  A complex reduces once, on first use, and keeps the
 nonzero groups as the dict :attr:`ChainComplex.graded_homology`;
@@ -28,8 +29,11 @@ nothing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, mod
 from typing import Sequence
 
 from .abelian import (FgAbGroup, IntMatrix, canonical_int, cokernel, composite_is_zero,
@@ -74,7 +78,8 @@ class ChainComplex:
     matrices are normalized away.  The d*d = 0 test packs each row of the
     upper boundary into one integer (:func:`~ahom.abelian.composite_is_zero`),
     which is exact and forms no product matrix; the product is formed only
-    when the test fails, to name the first nonzero entry.
+    when the test fails, to name the first nonzero entry.  Each boundary's
+    largest |entry| is found once and serves both tests it takes part in.
     """
 
     name: str
@@ -92,6 +97,7 @@ class ChainComplex:
             if r:
                 ranks[n] = r
         boundaries: dict[int, IntMatrix] = {}
+        bounds: dict[int, int] = {}  # max |entry| of each nonzero boundary
         for n, mat in self.boundaries.items():
             n = int(n)
             want = (ranks.get(n - 1, 0), ranks.get(n, 0))
@@ -99,13 +105,14 @@ class ChainComplex:
                 raise ShapeMismatchError(
                     f"boundary at degree {n} is {mat.rows}x{mat.cols}, "
                     f"expected {want[0]}x{want[1]}")
-            if not mat.is_zero():
-                boundaries[n] = mat
+            bound = mat.max_abs()
+            if bound:
+                boundaries[n], bounds[n] = mat, bound
         for n in sorted(boundaries):
             upper = boundaries.get(n + 1)
             if upper is None:
                 continue
-            if composite_is_zero(boundaries[n], upper):
+            if composite_is_zero(boundaries[n], upper, bounds[n] * bounds[n + 1]):
                 continue
             comp = boundaries[n] @ upper  # formed only to name the first bad entry
             i, j, x = next((i, j, x) for i, row in enumerate(comp.entries)
@@ -132,8 +139,9 @@ class ChainComplex:
     @cached_property
     def graded_homology(self) -> dict[int, FgAbGroup]:
         """The nonzero reduced homology groups by degree, from one reduction
-        of each boundary left once the cell pairs joined by a +-1 incidence
-        are split off; a degree absent from the dict has trivial homology.
+        of each boundary left once the cell pairs joined by a divisor pivot
+        are split off, plus the Z/|p| of those pairs; a degree absent from
+        the dict has trivial homology.
 
         Since im(d_n) is free, ker(d_n) is a direct summand of C_n holding
         im(d_(n+1)), so coker(d_(n+1)) = H_n + Z^(rank d_n): H_n keeps the
@@ -142,38 +150,48 @@ class ChainComplex:
         use and kept on the instance; it is derived from the fields, so
         equality and the file form ignore it.
         """
-        ranks, boundaries = _unit_reduced(self.ranks, self.boundaries)
+        ranks, boundaries, torsion = _unit_reduced(self.ranks, self.boundaries)
         cokernels = {n: cokernel(boundaries[n + 1]) if n + 1 in boundaries
                      else FgAbGroup.free(r) for n, r in ranks.items()}
         none = FgAbGroup.trivial()
-        groups = ((n, FgAbGroup(g.free_rank - ranks.get(n - 1, 0)
-                                + cokernels.get(n - 1, none).free_rank, g.invariant_factors))
-                  for n, g in cokernels.items())
-        return {n: h for n, h in groups if not h.is_trivial()}
+        groups = {}
+        for n in {*cokernels, *torsion}:
+            g = cokernels.get(n, none)
+            free = g.free_rank - ranks.get(n - 1, 0) + cokernels.get(n - 1, none).free_rank
+            groups[n] = (FgAbGroup.of(free, g.invariant_factors + tuple(torsion[n]))
+                         if n in torsion else FgAbGroup(free, g.invariant_factors))
+        return {n: h for n, h in groups.items() if not h.is_trivial()}
 
 
 def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
-                  ) -> tuple[dict[int, int], dict[int, IntMatrix]]:
-    """Nonzero ranks and boundaries of a complex with the same homology and
-    no boundary entry +-1.  Each step takes the unit p = d_n[t][s] in the
-    first row holding one; cells s and t span a summand Z -> Z after a
-    unimodular change of basis, so d_n becomes the Schur complement of p (row
-    k -= d_n[k][s]*p*row t), d_(n+1) loses row s and d_(n-1) column t.  The
-    pivots in one boundary have determinant +-1: entries left are its minors.
+                  ) -> tuple[dict[int, int], dict[int, IntMatrix], dict[int, list[int]]]:
+    """Nonzero ranks and boundaries of a complex with no divisor pivot left,
+    and the orders >= 2 of the cyclic summands split off, by degree.
+
+    A divisor pivot p = d_n[t][s] divides all of row t and column s, so cells
+    s and t span a summand Z -p-> Z after a unimodular change of basis: d_n
+    becomes the Schur complement of p (row k -= d_n[k][s]/p * row t), d_(n+1)
+    loses row s and d_(n-1) column t (d*d = 0 over Z makes both zero in the
+    new bases), and H_(n-1) gains Z/|p|.  Entries left are minors of the input
+    over the pivots' determinant, within the input's Hadamard bound.  The
+    search goes on from the row of the last pivot until a full pass finds none.
     """
     ranks = dict(ranks)
+    torsion: dict[int, list[int]] = {}
     d = {n: [list(row) for row in m.entries] for n, m in boundaries.items()}
     for n, rows in sorted(d.items()):
-        while True:
-            t = next((i for i, row in enumerate(rows) if 1 in row or -1 in row), None)
-            if t is None:
-                break
+        t = misses = 0
+        while misses < len(rows):
+            t %= len(rows)
+            s = _pivot(rows[t], rows)
+            if s is None:
+                t, misses = t + 1, misses + 1
+                continue
             top = rows.pop(t)
-            s = top.index(1) if 1 in top else top.index(-1)
             p = top.pop(s)
-            support = [j for j, y in enumerate(top) if y]
+            support = list(compress(count(), top))
             for row in rows:
-                f = row.pop(s) * p
+                f = row.pop(s) // p
                 if f:
                     for j in support:
                         row[j] -= f * top[j]
@@ -181,11 +199,26 @@ def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
                 del row[t]
             if n + 1 in d:
                 del d[n + 1][s]
+            if abs(p) > 1:
+                torsion.setdefault(n - 1, []).append(abs(p))
             ranks[n] -= 1
             ranks[n - 1] -= 1
+            misses = 0
     ranks = {n: r for n, r in ranks.items() if r}
     return ranks, {n: IntMatrix(ranks[n - 1], ranks[n], tuple(map(tuple, rows)))
-                   for n, rows in d.items() if any(map(any, rows))}
+                   for n, rows in d.items() if any(map(any, rows))}, torsion
+
+
+def _pivot(row: list[int], rows: list[list[int]]) -> int | None:
+    """A column s where `row` holds a divisor pivot of `rows`, or None: the
+    pivot is +-gcd(row), and unless a unit it must divide its column."""
+    p = math.gcd(*row)
+    if not p:
+        return None
+    if p == 1:
+        return row.index(1) if 1 in row else row.index(-1) if -1 in row else None
+    return next((s for s in compress(count(), map(p.__eq__, map(abs, row)))
+                 if not any(map(mod, map(itemgetter(s), rows), repeat(p)))), None)
 
 
 TRIVIAL_COMPLEX = ChainComplex("pt", {}, {})
@@ -317,9 +350,10 @@ def complex_from_json(data: object) -> ChainComplex:
         n = parse_degree(k, "degree", InvalidComplexError)
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise InvalidComplexError(f"boundary {k!r} must be a list of rows")
-        _json_ints((x for row in rows for x in row), f"boundary {k!r} entries")
-        try:
+        try:  # from_rows checks every entry type in one pass
             mat = IntMatrix.from_rows(rows, cols=ranks.get(n, 0))
+        except TypeError:  # raises again, naming the entry as the JSON text wrote it
+            _json_ints(chain.from_iterable(rows), f"boundary {k!r} entries")
         except ValueError as exc:
             raise InvalidComplexError(f"boundary {k!r}: {exc}") from None
         boundaries[n] = mat

@@ -402,7 +402,7 @@ def hom_complex(a: ChainComplex, x: ChainComplex) -> ChainComplex:
             for i2 in range(dx.rows if dx else 0):
                 rows[below[(p, i2, j)]][col] += dx.entries[i2][i]
             for j2 in range(da.cols if da else 0):
-                rows[below[(p + 1, i, j2)]][col] -= (-1) ** k * da.entries[j][j2]
+                rows[below[(p + 1, i, j2)]][col] -= (-1 if k % 2 else 1) * da.entries[j][j2]
         boundaries[n] = IntMatrix.from_rows(rows, cols=len(cells))
     return ChainComplex(f"hom({a.name},{x.name})",
                         {n: len(cells) for n, cells in basis.items()}, boundaries)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,23 @@ matrices = st.integers(0, 6).flatmap(
         ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
     )
 )
+
+
+class TestIntMatrix:
+    @pytest.mark.parametrize("entry", [2.9, 0.0, True, False, "3", None, [1]])
+    def test_from_rows_refuses_an_entry_that_is_not_an_int(self, entry):
+        with pytest.raises(TypeError, match=f"matrix entry {re.escape(repr(entry))} "):
+            IntMatrix.from_rows([[1, entry]])
+
+    def test_from_rows_keeps_int_entries(self):
+        m = IntMatrix.from_rows([[2**100, -1], [0, 7]])
+        assert m.entries == ((2**100, -1), (0, 7)) and (m.rows, m.cols) == (2, 2)
+        assert IntMatrix.from_rows([], cols=3) == IntMatrix(0, 3, ())
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_identity_is_the_per_entry_form(self, n):
+        assert IntMatrix.identity(n) == IntMatrix(
+            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 class TestSnf:
@@ -266,6 +284,15 @@ class TestCompositeIsZero:
                 b = IntMatrix.from_rows([[1 if c == j else 0 for c in range(3)]])
                 assert not composite_is_zero(a, b)
 
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 127, 128])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_packed_entry_at_a_power_of_two(self, bits, sign):
+        # with a = [[1]] the bound is |b| itself: 2^bits must still fit its
+        # digit once shifted by half the digit range, at every array item
+        # size and across limbs
+        b = IntMatrix.from_rows([[sign * 2**bits, 0, sign]])
+        assert not composite_is_zero(IntMatrix.from_rows([[1]]), b)
+
 
 class TestLatticeUtilities:
     @settings(max_examples=100, deadline=None)
@@ -373,6 +400,12 @@ class TestFgAbGroup:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 3), st.lists(st.integers(1, 200), max_size=12))
     def test_of_matches_prime_power_oracle(self, rank, orders):
+        assert FgAbGroup.of(rank, orders) == prime_power_group(rank, orders)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.sampled_from([1, 2, 4, 8, 16]), max_size=12))
+    def test_of_on_orders_that_sort_into_a_chain(self, rank, orders):
+        # sorted, these already form a divisor chain, so no gcd pass runs
         assert FgAbGroup.of(rank, orders) == prime_power_group(rank, orders)
 
     def test_of_rejects_nonpositive_orders(self):

@@ -174,18 +174,18 @@ class TestGradedHomologyCache:
             return cokernel(m)
 
         monkeypatch.setattr(chains, "cokernel", counting)
-        c = projective(6)
-        assert homology(c, 3) == Z2
+        c, planted = residual_complex()
+        assert homology(c, 1) == planted[1]
         first = len(calls)
         assert first > 0
-        # the first read reduces each nonzero reduced boundary exactly once;
-        # projective(6) has no +-1 entry, so those are its boundaries, by value
-        assert first == len(chains._unit_reduced(c.ranks, c.boundaries)[1])
+        # the first read reduces each boundary left by the divisor pivots
+        # exactly once, by value
+        residual = chains._unit_reduced(c.ranks, c.boundaries)[1]
         assert (sorted((m.rows, m.cols, m.entries) for m in calls)
-                == sorted((m.rows, m.cols, m.entries) for m in c.boundaries.values()))
-        assert homology(c, 3) == Z2
-        assert homology(c, 5) == Z2
-        assert cohomology_uct(c, 4, Z) == Z2
+                == sorted((m.rows, m.cols, m.entries) for m in residual.values()))
+        assert homology(c, 1) == planted[1]
+        assert homology(c, 2) == planted[2]
+        assert cohomology_uct(c, 2, Z) == FgAbGroup(1, planted[1].invariant_factors)
         assert len(calls) == first
 
     def test_free_cells_in_one_degree(self, tmp_path):
@@ -194,12 +194,21 @@ class TestGradedHomologyCache:
         assert load_complex(str(path)).graded_homology == {2: FgAbGroup.free(3000)}
 
 
-def planted_pieces(rng, top, count, kinds=("unit", "unit", "torsion", "free")):
-    """`count` random (degree, kind, value) pieces for scrambled_complex."""
-    values = {"unit": lambda: rng.choice((1, -1)), "torsion": lambda: rng.randint(2, 6),
+def planted_pieces(rng, top, count, kinds=("unit", "unit", "torsion", "free"), most=6):
+    """`count` random (degree, kind, value) pieces for scrambled_complex,
+    torsion orders up to `most`."""
+    values = {"unit": lambda: rng.choice((1, -1)), "torsion": lambda: rng.randint(2, most),
               "free": lambda: 1}
     return [(rng.randint(0, top), kind, values[kind]())
             for kind in (rng.choice(kinds) for _ in range(count))]
+
+
+def residual_complex():
+    """A scrambled complex that the divisor pivots do not reduce away, and
+    its planted homology: Z/2 + Z/2 + Z/3 + Z/3 + Z/9 in H_1, Z/4 + Z in H_2."""
+    pieces = ([(1, "torsion", d) for d in (2, 3, 4, 6, 9)]
+              + [(2, "torsion", 4), (2, "free", 1), (1, "unit", 1), (2, "unit", -1)])
+    return scrambled_complex(random.Random(0), pieces)
 
 
 class TestUnitReduction:
@@ -218,14 +227,38 @@ class TestUnitReduction:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 14))
+    def test_equals_planted_with_mixed_torsion(self, seed, top, count):
+        # mostly Z/d pieces with d up to 12: pivots that divide their row
+        # and column but are not units, and residuals where none does
+        rng = random.Random(seed)
+        pieces = planted_pieces(rng, top, count, ("torsion", "torsion", "unit", "free"), 12)
+        c, planted = scrambled_complex(rng, pieces)
+        assert c.graded_homology == planted == unreduced_graded_homology(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 14))
     def test_residual_entries_within_hadamard_bound(self, seed, top, count):
         rng = random.Random(seed)
-        c, _ = scrambled_complex(rng, planted_pieces(rng, top, count), mixes=4)
-        ranks, residual = chains._unit_reduced(c.ranks, c.boundaries)
+        pieces = planted_pieces(rng, top, count, ("unit", "torsion", "torsion", "free"), 12)
+        c, _ = scrambled_complex(rng, pieces, mixes=4)
+        ranks, residual, torsion = chains._unit_reduced(c.ranks, c.boundaries)
+        assert all(d >= 2 for orders in torsion.values() for d in orders)
         for n, m in residual.items():
             assert (m.rows, m.cols) == (ranks[n - 1], ranks[n])
             bound = hadamard_square(c.boundaries[n])
             assert all(x * x <= bound for row in m.entries for x in row)
+            # the search stops only when no row holds a divisor pivot
+            rows = [list(row) for row in m.entries]
+            assert all(chains._pivot(row, rows) is None for row in rows)
+
+    def test_divisor_pivot(self):
+        # 2 divides its row and column and leaves Z/2; in what is left no
+        # entry divides its row, so Smith finds the Z/5
+        c = ChainComplex("d", {1: 3, 2: 3},
+                         {2: IntMatrix.from_rows([[2, 0, 0], [4, 2, 3], [0, 3, 2]])})
+        assert chains._unit_reduced(c.ranks, c.boundaries) == (
+            {1: 2, 2: 2}, {2: IntMatrix.from_rows([[2, 3], [3, 2]])}, {1: [2]})
+        assert c.graded_homology == {1: FgAbGroup.cyclic(10)} == unreduced_graded_homology(c)
 
     def test_contractible_complex(self, monkeypatch):
         pieces = [(n % 4, "unit", (-1) ** n) for n in range(20)]
@@ -234,25 +267,24 @@ class TestUnitReduction:
         assert planted == {} == c.graded_homology == unreduced_graded_homology(c)
         # unscrambled, every pair splits off and no Smith work is left
         c, _ = scrambled_complex(random.Random(5), pieces, mixes=0)
-        assert chains._unit_reduced(c.ranks, c.boundaries) == ({}, {})
+        assert chains._unit_reduced(c.ranks, c.boundaries) == ({}, {}, {})
         monkeypatch.setattr(chains, "cokernel", None)
         assert c.graded_homology == {}
 
     def test_boundary_that_empties(self):
         # d_2 has rank 1 over two cells each side: one pair splits off and
-        # leaves a 1x1 zero boundary, which is dropped
+        # leaves a 1x1 zero boundary, which is dropped; d_3 is then [[-3]],
+        # a divisor pivot that leaves Z/3
         c = ChainComplex("e", {1: 2, 2: 2, 3: 1},
                          {2: IntMatrix.from_rows([[1, 1], [1, 1]]),
                           3: IntMatrix.from_rows([[3], [-3]])})
-        ranks, residual = chains._unit_reduced(c.ranks, c.boundaries)
-        assert ranks == {1: 1, 2: 1, 3: 1} and list(residual) == [3]
+        assert chains._unit_reduced(c.ranks, c.boundaries) == ({1: 1}, {}, {2: [3]})
         assert c.graded_homology == {1: Z, 2: FgAbGroup.cyclic(3)} == unreduced_graded_homology(c)
         # a pair that takes every cell of degree 1 leaves d_2 with no rows
         c = ChainComplex("f", {1: 1, 2: 2, 3: 1},
                          {2: IntMatrix.from_rows([[1, -2]]),
                           3: IntMatrix.from_rows([[4], [2]])})
-        assert chains._unit_reduced(c.ranks, c.boundaries) == (
-            {2: 1, 3: 1}, {3: IntMatrix.from_rows([[2]])})
+        assert chains._unit_reduced(c.ranks, c.boundaries) == ({}, {}, {2: [2]})
         assert c.graded_homology == {2: Z2} == unreduced_graded_homology(c)
 
     def test_homology_reaches_smith_through_column_echelon(self, monkeypatch):
@@ -266,8 +298,19 @@ class TestUnitReduction:
 
         for name in ("snf", "column_echelon"):
             monkeypatch.setattr(abelian, name, counting(name, getattr(abelian, name)))
-        assert homology(projective(4), 3) == Z2
+        c, planted = residual_complex()
+        assert homology(c, 1) == planted[1]
         assert calls["snf"] >= 1 and calls["column_echelon"] >= 2 * calls["snf"]
+
+    def test_projective_smash_needs_no_smith(self, monkeypatch):
+        # every boundary entry of rp:6^3 is 0 or +-2, and the divisor
+        # pivots split all of it off
+        rp6 = projective(6)
+        pair = smash(rp6, rp6)
+        triple = smash(pair, rp6)
+        want = {n: kunneth(pair, rp6, n) for n in range(triple.top_degree + 2)}
+        monkeypatch.setattr(chains, "cokernel", None)
+        assert {n: homology(triple, n) for n in want} == want
 
 
 class TestCohomology:
@@ -483,7 +526,7 @@ class TestSmashProduct:
         rp3 = projective(3)
         assert smash(sphere(0), rp3).graded_homology == rp3.graded_homology
 
-    def test_triple_smash_of_rp20(self):
+    def test_triple_smash_of_rp20(self, monkeypatch):
         # 8,000 cells, at most 300 in one degree, 12,000 nonzero boundary
         # entries: validating and reducing it is a sparse large-complex case
         rp20 = projective(20)
@@ -491,7 +534,10 @@ class TestSmashProduct:
         triple = smash(pair, rp20)
         assert sum(triple.ranks.values()) == 8000
         assert max(triple.ranks.values()) == 300
-        for n in range(triple.top_degree + 2):
-            assert homology(triple, n) == kunneth(pair, rp20, n), n
+        want = {n: kunneth(pair, rp20, n) for n in range(triple.top_degree + 2)}
+        # every entry is 0 or +-2: the divisor pivots leave no Smith work
+        monkeypatch.setattr(chains, "cokernel", None)
+        for n in want:
+            assert homology(triple, n) == want[n], n
         assert homology(triple, 3) == FgAbGroup.of(0, [2])
         assert homology(triple, 60) == TRIVIAL

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ahom.chains import MAX_DEGREE
 from ahom.cli import VERBS, main
@@ -357,6 +359,61 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+# a JSON integer past the interpreter's digit limit, spliced into the text
+HUGE = "<huge>"
+JUNK = st.one_of(st.floats(), st.booleans(), st.text(max_size=2), st.none(),
+                 st.lists(st.integers(-2, 2), max_size=2), st.integers(-2**80, 2**80),
+                 st.just(HUGE))
+DEGREES = st.sampled_from(["0", "3", "01", "+1", "-1", " 2", "1_0", "x", str(MAX_DEGREE + 1)])
+
+
+@st.composite
+def complex_files(draw):
+    """The JSON text of a valid two-degree complex with up to three of its
+    parts replaced: an entry, a row, a rank, a key or a whole boundary."""
+    r1, r2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = [[draw(st.integers(-4, 4)) for _ in range(r2)] for _ in range(r1)]
+    data = {"reduced": True, "ranks": {"1": r1, "2": r2}, "boundaries": {"2": rows}}
+    for kind in draw(st.lists(st.sampled_from(["entry", "row", "rank", "key", "boundary"]),
+                              max_size=3)):
+        row = rows[draw(st.integers(0, r1 - 1))] if r1 else None
+        if kind == "entry" and isinstance(row, list) and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
+        elif kind == "row" and r1:
+            rows[draw(st.integers(0, r1 - 1))] = draw(st.one_of(
+                JUNK, st.lists(st.integers(-4, 4), max_size=4)))
+        elif kind == "key":
+            values = data[draw(st.sampled_from(["ranks", "boundaries"]))]
+            if values:
+                values[draw(DEGREES)] = values.pop(draw(st.sampled_from(sorted(values))))
+        elif kind in ("rank", "boundary"):
+            field = "ranks" if kind == "rank" else "boundaries"
+            data[field][draw(st.sampled_from(["1", "2"]))] = draw(JUNK)
+    return json.dumps(data).replace(json.dumps(HUGE), "9" * 5000), data
+
+
+class TestComplexFileFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(complex_files())
+    def test_every_file_is_read_or_rejected(self, capsys, tmp_path, case):
+        text, data = case
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "homology", "--X", f"file:{path}")
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 0:
+            assert out and err == ""
+            return
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        # an entry of the wrong type is named as the JSON text wrote it
+        prefix, _, shown = err.partition(" entries must be JSON integers, got ")
+        if shown:
+            rows = data["boundaries"][prefix.removeprefix("error: boundary ")[1:-1]]
+            first = next(x for row in rows for x in row if type(x) is not int)
+            assert shown == json.dumps(first) + "\n"
 
 
 class TestParserBuild:
