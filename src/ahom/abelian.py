@@ -17,6 +17,11 @@ on it (kernels, exact linear solving), the Smith normal form
 the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
 every homology computation downstream.
 
+:class:`IntMatrix` is the type at the boundary; the Hermite and Smith passes
+run in place on lists of columns.  :func:`snf` calls :func:`column_echelon`
+twice per round, not an inlined pass, because the benchmark's tracer counts
+those calls as ``abelian.snf.rounds``.
+
 >>> print(cokernel(IntMatrix.diagonal([2, 3])))
 Z/6
 >>> print(hom(FgAbGroup.cyclic(4), FgAbGroup.cyclic(6)))
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, and_, mod, mul, rshift
@@ -263,30 +269,34 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     """Smith normal form, with its certificate unless `certificate` is False.
 
     Alternates column and row Hermite passes until the matrix is diagonal
-    (the Kannan-Bachem scheme).  Column operations go straight to the
-    running V, row operations to U transposed, so no transform product is
-    formed; Hermite steps keep the entries determinant-bounded.  Without a
-    certificate the transforms have zero rows, cost nothing, and U and V
-    come back empty (rows x 0 and 0 x cols); :func:`cokernel` runs so.
+    (the Kannan-Bachem scheme).  The matrix is converted once: its columns,
+    the columns of V and the rows of U stay lists through every round, and
+    one transpose turns the columns into the rows the row pass works on.
+    Column operations go straight to V, row operations to the rows of U, so
+    no transform product is formed; Hermite steps keep the entries
+    determinant-bounded.  Without a certificate no transform is tracked and
+    U and V come back empty (rows x 0 and 0 x cols); :func:`cokernel` runs so.
 
     The divisor chain is then closed in one pass: each pair (a, b) with a
     not dividing b becomes (gcd, lcm) by one 2x2 unimodular transform on U
     and V.  There is no round cap.
     """
     rows, cols = m.rows, m.cols
-    start = IntMatrix.identity if certificate else lambda n: IntMatrix(0, n, ())
-    a, v, ut = m, start(cols), start(rows)
+    a = _transpose(m.entries, cols)
+    vcols = list(IntMatrix.identity(cols).entries) if certificate else None
+    urows = list(IntMatrix.identity(rows).entries) if certificate else None
     while True:
-        a, v = column_echelon(a, v)
-        at, ut = column_echelon(a.transpose(), ut)
-        a = at.transpose()
-        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a.entries)):
+        column_echelon(a, vcols)
+        a = _transpose(a, rows)
+        column_echelon(a, urows)
+        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
             break
+        a = _transpose(a, cols)
     # both echelon passes sort zero columns/rows to the back and make pivots
     # positive, so the diagonal is a positive prefix followed by zeros
-    diag = [a.entries[i][i] for i in range(min(rows, cols))]
-    urows = [list(c) for c in zip(*ut.entries)] or [[]] * rows
-    vcols = [list(c) for c in zip(*v.entries)] or [[]] * cols
+    diag = [a[i][i] for i in range(min(rows, cols))]
+    if not certificate:
+        urows, vcols = [()] * rows, [()] * cols
     for i in range(len(diag)):
         if diag[i] < 2:  # 0 and 1 are never changed by a pair
             continue
@@ -308,16 +318,17 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
             vcols[i] = [e + f for e, f in zip(vi, vj)]
             vcols[j] = [s * p * f - t * q * e for e, f in zip(vi, vj)]
             diag[i], diag[j] = g, x * q
-    return SmithDecomposition(
-        U=IntMatrix(rows, ut.rows, tuple(tuple(r) for r in urows)),
-        S=IntMatrix.diagonal(diag, rows, cols),
-        V=IntMatrix(v.rows, cols, tuple(zip(*vcols))),
-        source=m)
+    n, k = (rows, cols) if certificate else (0, 0)  # U is rows x n, V is k x cols
+    return SmithDecomposition(U=IntMatrix(rows, n, tuple(map(tuple, urows))),
+                              S=IntMatrix.diagonal(diag, rows, cols),
+                              V=IntMatrix(k, cols, tuple(_transpose(vcols, k))), source=m)
 
 
-def column_echelon(m: IntMatrix,
-                   transform: IntMatrix | None = None) -> tuple[IntMatrix, IntMatrix]:
-    """Column Hermite form: (H, W) with m @ W == H and W unimodular.
+def column_echelon(cols: list[Sequence[int]],
+                   w: list[Sequence[int]] | None = None) -> list[int]:
+    """Column Hermite form, in place: the columns `cols` of a matrix m become
+    those of H = m @ W with W unimodular, and the leading row of each nonzero
+    column of H is returned, in order.
 
     Nonzero columns of H have strictly increasing leading rows and positive
     leading entries, entries to the left of a leading entry are reduced
@@ -326,18 +337,17 @@ def column_echelon(m: IntMatrix,
     moderate size, which is what the homology pipeline builds on.
 
     The columns of W over the zero columns of H are a lattice basis of
-    ker(m).  When `transform` (with m.cols columns) is given, the column
-    operations are applied to it instead of to the identity, and the second
-    result is transform @ W.
+    ker(m).  When `w` (one column per column of m) is given, the column
+    operations are applied to it too, so it becomes w @ W; start it at the
+    identity to read off W.  A column is replaced, never changed in place,
+    so tuples serve as well as lists.
     """
-    rows, ncols = m.rows, m.cols
-    if transform is None:
-        transform = IntMatrix.identity(ncols)
-    elif transform.cols != ncols:
-        raise ValueError(f"transform has {transform.cols} columns, expected {ncols}")
-    cols = [list(c) for c in zip(*m.entries)] if rows else [[]] * ncols
-    w = [list(c) for c in zip(*transform.entries)] if transform.rows else [[]] * ncols
-    track = transform.rows > 0  # a transform with no rows takes no operations
+    ncols = len(cols)
+    rows = len(cols[0]) if cols else 0
+    track = w is not None
+    if not track:
+        w = [()] * ncols
+    leads: list[int] = []
 
     def eliminate(targets, j0):
         # column j -= q * column j0 for each target j, q the quotient in this row
@@ -350,8 +360,8 @@ def column_echelon(m: IntMatrix,
                     if track:
                         w[j] = [x - q * y for x, y in zip(w[j], w0)]
 
-    next_pivot = 0
     for row in range(rows):
+        next_pivot = len(leads)
         if next_pivot >= ncols:
             break
         while True:
@@ -369,21 +379,14 @@ def column_echelon(m: IntMatrix,
             cols[next_pivot] = [-x for x in cols[next_pivot]]
             w[next_pivot] = [-x for x in w[next_pivot]]
         eliminate(range(next_pivot), next_pivot)
-        next_pivot += 1
-
-    h = IntMatrix(rows, ncols, tuple(zip(*cols)) if ncols else ((),) * rows)
-    wm = IntMatrix(transform.rows, ncols, tuple(zip(*w)) if ncols else ((),) * transform.rows)
-    return h, wm
+        leads.append(row)
+    return leads
 
 
-def _leading_rows(h: IntMatrix) -> list[tuple[int, int]]:
-    """(leading row, column) pairs for the nonzero columns of an echelon matrix."""
-    out = []
-    for j in range(h.cols):
-        lead = next((i for i in range(h.rows) if h.entries[i][j]), None)
-        if lead is not None:
-            out.append((lead, j))
-    return out
+def _transpose(lists: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """The n tuples that hold the i-th entries of `lists` (all of length n):
+    the columns of a matrix from its rows, or back."""
+    return list(zip(*lists)) or [()] * n
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -394,38 +397,34 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     is then Hermite-reduced, which makes the result the unique Hermite
     basis of the kernel lattice, with small entries.
     """
-    h, w = column_echelon(m)
-    raw = w.columns(range(len(_leading_rows(h)), m.cols))
-    # raw has independent columns, so H has no zero column; W is not tracked
-    return column_echelon(raw, IntMatrix(0, raw.cols, ()))[0]
+    w = list(IntMatrix.identity(m.cols).entries)
+    raw = w[len(column_echelon(_transpose(m.entries, m.cols), w)):]
+    column_echelon(raw)  # raw has independent columns, so H has no zero column
+    return IntMatrix(m.cols, len(raw), tuple(_transpose(raw, m.cols)))
 
 
 def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer solution X of m @ X == b, or None when none exists."""
     if b.rows != m.rows:
         raise ValueError("right-hand side has wrong height")
-    h, w = column_echelon(m)
-    pivots = _leading_rows(h)
-    z_cols = []
-    for k in range(b.cols):
-        res = [b.entries[i][k] for i in range(m.rows)]
-        z = [0] * m.cols
-        for row, j in pivots:
-            p = h.entries[row][j]
+    h, w = _transpose(m.entries, m.cols), list(IntMatrix.identity(m.cols).entries)
+    leads = column_echelon(h, w)
+    x_cols = []
+    for res in map(list, _transpose(b.entries, b.cols)):
+        x = [0] * m.cols  # W @ z, z the coefficients of the columns of H
+        for j, row in enumerate(leads):
+            p = h[j][row]
             if res[row] % p:
                 return None
             q = res[row] // p
             if q:
-                z[j] = q
                 for i in range(row, m.rows):
-                    res[i] -= q * h.entries[i][j]
+                    res[i] -= q * h[j][i]
+                x = [e + q * f for e, f in zip(x, w[j])]
         if any(res):
             return None
-        z_cols.append(z)
-    zm = IntMatrix(m.cols, b.cols,
-                   tuple(tuple(z_cols[k][i] for k in range(b.cols))
-                         for i in range(m.cols)))
-    return w @ zm
+        x_cols.append(x)
+    return IntMatrix(m.cols, b.cols, tuple(_transpose(x_cols, m.cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +485,27 @@ class FgAbGroup:
 
         `orders` are the orders of cyclic torsion summands, in any order and
         not necessarily a divisor chain; unit factors are dropped.  The chain
-        is recovered without any matrix: each pair (a, b) of orders is
-        replaced by (gcd(a, b), lcm(a, b)), which keeps Z/a + Z/b fixed.
+        is recovered without any matrix: each order x joins the chain from
+        the top, where Z/c + Z/x = Z/gcd(c, x) + Z/lcm(c, x) keeps the group
+        and the chain, and gcd(c, x) goes on down past the other copies of c,
+        so the cost is the orders times the distinct values in the chain.
         Orders that are sorted into a divisor chain already need no pass.
         """
         torsion = sorted(int(d) for d in orders if d != 1)
         if torsion and torsion[0] < 1:
             raise ValueError(f"cyclic order {torsion[0]} must be positive")
         if any(map(mod, torsion[1:], torsion)):
-            for i in range(len(torsion)):
-                for j in range(i + 1, len(torsion)):
-                    a, b = torsion[i], torsion[j]
-                    g = math.gcd(a, b)
-                    torsion[i], torsion[j] = g, a // g * b
-        return cls(free_rank, tuple(d for d in torsion if d > 1))
+            orders, torsion = torsion, []
+            for x in orders:
+                i = len(torsion)
+                while x > 1 and i:
+                    c = torsion[i - 1]
+                    g = math.gcd(c, x)
+                    torsion[i - 1] = c // g * x
+                    x, i = g, bisect_left(torsion, c, 0, i - 1)
+                if x > 1:
+                    torsion.insert(0, x)
+        return cls(free_rank, tuple(torsion))
 
     # -- queries ------------------------------------------------------
 

@@ -174,20 +174,30 @@ def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
     loses row s and d_(n-1) column t (d*d = 0 over Z makes both zero in the
     new bases), and H_(n-1) gains Z/|p|.  Entries left are minors of the input
     over the pivots' determinant, within the input's Hadamard bound.  The
-    search goes on from the row of the last pivot until a full pass finds none.
+    search goes on from the row of the last pivot until a full pass over the
+    nonzero rows finds none; a row found zero stays zero and is passed by.
     """
     ranks = dict(ranks)
     torsion: dict[int, list[int]] = {}
     d = {n: [list(row) for row in m.entries] for n, m in boundaries.items()}
     for n, rows in sorted(d.items()):
-        t = misses = 0
-        while misses < len(rows):
-            t %= len(rows)
+        live = [True] * len(rows)  # a row found zero stays zero: the search passes it by
+        t, misses, alive = 0, 0, len(rows)
+        while misses < alive:
+            try:
+                t = live.index(True, t)
+            except ValueError:
+                t = live.index(True)
+            if not any(rows[t]):
+                live[t], alive = False, alive - 1
+                continue
             s = _pivot(rows[t], rows)
             if s is None:
                 t, misses = t + 1, misses + 1
                 continue
             top = rows.pop(t)
+            del live[t]
+            alive -= 1
             p = top.pop(s)
             support = list(compress(count(), top))
             for row in rows:

@@ -2,8 +2,9 @@
 
 The oracles here enumerate group elements or cochains, factor orders or
 invert over the rationals, and never touch the Smith-form machinery they are
-used to check.  The exceptions are the per-entry reference Hermite pass,
-the degree-window sum for shaped homology, the unreduced graded homology,
+used to check.  The exceptions are the per-entry reference Hermite pass
+and the Smith form built on it, the matrix adapter of the library's Hermite
+pass, the degree-window sum for shaped homology, the unreduced graded homology,
 the Hom complex whose homology is shaped homology, and the smash product
 with its Kunneth formula, which reduce through the library on purpose.
 """
@@ -13,7 +14,8 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
-from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, cokernel, direct_sum
+from ahom.abelian import (FgAbGroup, IntMatrix, PrimeSet, SmithDecomposition, cokernel,
+                          column_echelon, direct_sum)
 from ahom.chains import ChainComplex, cohomology_uct, homology
 from ahom.federer import TABLE_START, HomotopyTable
 
@@ -206,6 +208,17 @@ def prime_power_group(free_rank: int, orders) -> FgAbGroup:
     return FgAbGroup(free_rank, tuple(factors))
 
 
+def pairwise_group(free_rank: int, orders) -> FgAbGroup:
+    """Canonical form of Z^free_rank + sum of Z/d by the quadratic pairwise
+    pass: each pair (a, b) of orders becomes (gcd(a, b), lcm(a, b))."""
+    torsion = sorted(d for d in orders if d != 1)
+    for i in range(len(torsion)):
+        for j in range(i + 1, len(torsion)):
+            a, b = torsion[i], torsion[j]
+            g = math.gcd(a, b)
+            torsion[i], torsion[j] = g, a // g * b
+    return FgAbGroup(free_rank, tuple(d for d in torsion if d > 1))
+
 def prime_factors(n: int) -> set[int]:
     """The primes dividing n >= 1, by trial division."""
     out = set()
@@ -345,6 +358,64 @@ def reference_column_echelon(m: IntMatrix,
     wm = IntMatrix(transform.rows, ncols, tuple(tuple(w[j][i] for j in range(ncols))
                                                 for i in range(transform.rows)))
     return h, wm
+
+
+def echelon(m: IntMatrix, transform: IntMatrix | None = None) -> tuple[IntMatrix, IntMatrix]:
+    """:func:`ahom.abelian.column_echelon` on matrices: (H, W) with
+    m @ W == H, and transform @ W in place of W when `transform` is given.
+
+    The one adapter between the in-place pass on column lists and the
+    matrix form of :func:`reference_column_echelon`, which it must equal.
+    """
+    if transform is None:
+        transform = IntMatrix.identity(m.cols)
+    cols = list(zip(*m.entries)) or [()] * m.cols
+    w = list(zip(*transform.entries)) or [()] * transform.cols
+    column_echelon(cols, w)
+    return (IntMatrix(m.rows, m.cols, tuple(zip(*cols)) or ((),) * m.rows),
+            IntMatrix(transform.rows, m.cols, tuple(zip(*w)) or ((),) * transform.rows))
+
+
+def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
+    """The Smith form by matrix-level passes of :func:`reference_column_echelon`,
+    kept as the oracle of :func:`ahom.abelian.snf`: the same operations in
+    the same order, on an IntMatrix per pass, so every result is identical.
+    """
+    rows, cols = m.rows, m.cols
+    start = IntMatrix.identity if certificate else lambda n: IntMatrix(0, n, ())
+    a, v, ut = m, start(cols), start(rows)
+    while True:
+        a, v = reference_column_echelon(a, v)
+        at, ut = reference_column_echelon(a.transpose(), ut)
+        a = at.transpose()
+        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a.entries)):
+            break
+    diag = [a.entries[i][i] for i in range(min(rows, cols))]
+    urows = [list(c) for c in zip(*ut.entries)] or [[]] * rows
+    vcols = [list(c) for c in zip(*v.entries)] or [[]] * cols
+    for i in range(len(diag)):
+        if diag[i] < 2:
+            continue
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            if not x or not y % x:
+                continue
+            g = math.gcd(x, y)
+            p, q = x // g, y // g
+            s = pow(p, -1, q)
+            t = (1 - s * p) // q
+            ui, uj = urows[i], urows[j]
+            urows[i] = [s * e + t * f for e, f in zip(ui, uj)]
+            urows[j] = [p * f - q * e for e, f in zip(ui, uj)]
+            vi, vj = vcols[i], vcols[j]
+            vcols[i] = [e + f for e, f in zip(vi, vj)]
+            vcols[j] = [s * p * f - t * q * e for e, f in zip(vi, vj)]
+            diag[i], diag[j] = g, x * q
+    return SmithDecomposition(
+        U=IntMatrix(rows, ut.rows, tuple(tuple(r) for r in urows)),
+        S=IntMatrix.diagonal(diag, rows, cols),
+        V=IntMatrix(v.rows, cols, tuple(zip(*vcols))),
+        source=m)
 
 
 def smash(x: ChainComplex, y: ChainComplex) -> ChainComplex:

@@ -13,7 +13,6 @@ from ahom.abelian import (
     IntMatrix,
     PrimeSet,
     cokernel,
-    column_echelon,
     composite_is_zero,
     direct_sum,
     exponent,
@@ -26,16 +25,18 @@ from ahom.abelian import (
     snf,
     solve,
 )
-from ahom import abelian
 from ahom.corpus import random_matrix
 from helpers import (
     brute_ext_order,
     brute_hom_order,
     divides,
+    echelon,
     invert_unimodular,
+    pairwise_group,
     prime_factors,
     prime_power_group,
     reference_column_echelon,
+    reference_snf,
     torsion_primes,
 )
 
@@ -142,7 +143,7 @@ class TestColumnEchelon:
     @settings(max_examples=150, deadline=None)
     @given(matrices)
     def test_echelon_invariants(self, m):
-        h, w = column_echelon(m)
+        h, w = echelon(m)
         assert m @ w == h
         assert abs(w.det()) == 1
         leads = []
@@ -174,8 +175,9 @@ def random_transform(rng: random.Random, cols: int) -> IntMatrix | None:
 
 
 class TestAgainstReferencePass:
-    """The list-level Hermite pass does the reference pass's operations in
-    the same order, so every output is identical, not merely equivalent."""
+    """The in-place Hermite pass on column lists, and the Smith form that
+    keeps its lists through every round, do the reference passes' operations
+    in the same order, so every output is identical, not merely equivalent."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 9))
@@ -183,31 +185,28 @@ class TestAgainstReferencePass:
         rng = random.Random(seed)
         m = random_matrix(rng, max_dim=max_dim, bound=rng.choice([1, 10, 2**40]))
         t = random_transform(rng, m.cols)
-        assert column_echelon(m, t) == reference_column_echelon(m, t)
+        assert echelon(m, t) == reference_column_echelon(m, t)
 
     @pytest.mark.parametrize("shape", EMPTY_SHAPES)
     def test_same_on_empty_shapes(self, shape):
         m = IntMatrix.zeros(*shape)
         for t in (None, IntMatrix.zeros(0, m.cols), IntMatrix.zeros(2, m.cols),
                   IntMatrix.identity(m.cols)):
-            assert column_echelon(m, t) == reference_column_echelon(m, t)
+            assert echelon(m, t) == reference_column_echelon(m, t)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 9))
     def test_same_smith_certificate(self, seed, max_dim):
-        m = random_matrix(random.Random(seed), max_dim=max_dim)
-        got = [snf(m), snf(m, certificate=False)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(abelian, "column_echelon", reference_column_echelon)
-            want = [snf(m), snf(m, certificate=False)]
-        assert got == want
+        rng = random.Random(seed)
+        m = random_matrix(rng, max_dim=max_dim, bound=rng.choice([1, 10, 2**40]))
+        assert snf(m) == reference_snf(m)
+        assert snf(m, certificate=False) == reference_snf(m, certificate=False)
 
     @pytest.mark.parametrize("shape", EMPTY_SHAPES)
-    def test_same_smith_certificate_on_empty_shapes(self, shape, monkeypatch):
+    def test_same_smith_certificate_on_empty_shapes(self, shape):
         m = IntMatrix.zeros(*shape)
-        got = snf(m)
-        monkeypatch.setattr(abelian, "column_echelon", reference_column_echelon)
-        assert got == snf(m)
+        for certificate in (True, False):
+            assert snf(m, certificate) == reference_snf(m, certificate)
 
 
 def signed(bits: int):
@@ -308,7 +307,7 @@ class TestLatticeUtilities:
     def test_kernel_basis_matches_smith_kernel(self, m):
         # the Smith construction: Hermite form of the V columns beyond the rank
         dec = snf(m)
-        smith_kernel, _ = column_echelon(dec.V.columns(range(dec.rank, m.cols)))
+        smith_kernel, _ = echelon(dec.V.columns(range(dec.rank, m.cols)))
         assert kernel_basis(m) == smith_kernel
 
     def test_solve_exact_and_unsolvable(self):
@@ -407,6 +406,18 @@ class TestFgAbGroup:
     def test_of_on_orders_that_sort_into_a_chain(self, rank, orders):
         # sorted, these already form a divisor chain, so no gcd pass runs
         assert FgAbGroup.of(rank, orders) == prime_power_group(rank, orders)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.builds(math.prod, st.lists(
+        st.sampled_from([1, 2, 2, 3, 3, 5, 7, 2**40]), max_size=4)), max_size=40))
+    def test_of_matches_pairwise_pass(self, rank, orders):
+        # few distinct prime factors, so equal orders and long runs are common
+        assert FgAbGroup.of(rank, orders) == pairwise_group(rank, orders)
+
+    def test_of_on_many_orders_off_a_chain(self):
+        assert FgAbGroup.of(1, [2, 3] * 2000) == FgAbGroup(1, (6,) * 2000)
+        orders = [2, 4, 3, 9, 5] * 300
+        assert FgAbGroup.of(0, orders) == FgAbGroup(0, (6,) * 300 + (180,) * 300)
 
     def test_of_rejects_nonpositive_orders(self):
         for bad in (0, -4):

@@ -235,6 +235,23 @@ class TestUnitReduction:
         c, planted = scrambled_complex(rng, pieces)
         assert c.graded_homology == planted == unreduced_graded_homology(c)
 
+    def test_search_passes_zero_rows_by(self, monkeypatch):
+        # a row that the Schur updates zero stays zero, so the search hands
+        # _pivot nonzero rows only, and the homology is unchanged
+        calls = Counter()
+        pivot = chains._pivot
+
+        def recording(row, rows):
+            calls[any(row)] += 1
+            return pivot(row, rows)
+
+        monkeypatch.setattr(chains, "_pivot", recording)
+        for seed in range(30):
+            rng = random.Random(seed)
+            c, planted = scrambled_complex(rng, planted_pieces(rng, 3, 14))
+            assert c.graded_homology == planted == unreduced_graded_homology(c)
+        assert calls[True] and not calls[False]
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 14))
     def test_residual_entries_within_hadamard_bound(self, seed, top, count):

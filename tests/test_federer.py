@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahom import federer
 from ahom.abelian import FgAbGroup, PrimeSet
-from ahom.chains import cohomology_direct, homology
+from ahom.chains import cohomology_direct, cohomology_uct, homology
 from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.federer import (
     ABSOLUTE,
@@ -16,6 +18,7 @@ from ahom.federer import (
     OUT_OF_RANGE,
     RELATIVE,
     SET_VALUED,
+    TABLE_START,
     UPPER_BOUND,
     ZERO,
     HomotopyTable,
@@ -77,6 +80,35 @@ class TestHomotopyTable:
 
 
 class TestPageAssembly:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([ABSOLUTE, RELATIVE]))
+    def test_shared_cohomology_gives_the_unshared_page(self, seed, variant):
+        # groups drawn from a pool of three, so many entries share (-p, pi_q)
+        rng = random.Random(seed)
+        a = random_complex(rng)
+        pool = [random_group(rng) for _ in range(3)]
+        start = TABLE_START[variant]
+        table = HomotopyTable(variant, {q: rng.choice(pool)
+                                        for q in range(start, start + rng.randint(1, 10))}, True)
+        assemble = federer_e2 if variant == ABSOLUTE else relative_federer_e2
+        calls = Counter()
+
+        def counting(c, n, g):
+            calls[n, g] += 1
+            return cohomology_uct(c, n, g)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federer, "cache", lambda f: f)  # one cohomology_uct per entry
+            unshared = assemble(a, table)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federer, "cohomology_uct", counting)
+            shared = assemble(a, table)
+        assert shared == unshared
+        assert set(calls.values()) <= {1}
+        for (p, q), entry in shared.entries.items():
+            if entry.status != ZERO:
+                assert entry.group == cohomology_uct(a, -p, table.entries[q])
+
     def test_sphere_shape_single_column(self):
         m = 3
         page = federer_e2(sphere(m), table_z(6))
