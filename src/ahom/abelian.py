@@ -129,12 +129,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
 
-    def columns(self, indices: Iterable[int]) -> "IntMatrix":
-        """The submatrix formed by the given columns, in the given order."""
-        idx = list(indices)
-        return IntMatrix(self.rows, len(idx),
-                         tuple(tuple(row[j] for j in idx) for row in self.entries))
-
     def max_abs(self) -> int:
         return max(map(abs, chain.from_iterable(self.entries)), default=0)
 

@@ -15,8 +15,10 @@ nonzero groups as the dict :attr:`ChainComplex.graded_homology`;
 :func:`homology` and everything built on it read that value, and shaped
 homology sums over its degrees only.  Cohomology with coefficients in a finitely
 generated group is available through two independent routes that must agree:
-:func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology,
-while :func:`cohomology_direct` reduces the actual cochain complex and never
+:func:`cohomology_uct` assembles Hom/Ext pieces of the integral homology and
+keeps each H^n(c; g) on the complex by (n, g), so a page, shaped homology and
+the axiom checks share one assembly per group without knowing of it, while
+:func:`cohomology_direct` reduces the actual cochain complex and never
 looks at the integral answer.  It takes the coefficients one cyclic summand
 at a time, with one invariants-only Smith reduction each.  For Z/d it uses
 the mapping cone of multiplication by d on the integral cochains, which is
@@ -162,6 +164,12 @@ class ChainComplex:
                          if n in torsion else FgAbGroup(free, g.invariant_factors))
         return {n: h for n, h in groups.items() if not h.is_trivial()}
 
+    @cached_property
+    def _cohomology(self) -> dict[tuple[int, FgAbGroup], FgAbGroup]:
+        """H^n(c; g) by (n, g), as :func:`cohomology_uct` is asked for it;
+        ignored, like graded_homology, by equality, repr and the file form."""
+        return {}
+
 
 def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
                   ) -> tuple[dict[int, int], dict[int, IntMatrix], dict[int, list[int]]]:
@@ -174,30 +182,20 @@ def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
     loses row s and d_(n-1) column t (d*d = 0 over Z makes both zero in the
     new bases), and H_(n-1) gains Z/|p|.  Entries left are minors of the input
     over the pivots' determinant, within the input's Hadamard bound.  The
-    search goes on from the row of the last pivot until a full pass over the
-    nonzero rows finds none; a row found zero stays zero and is passed by.
+    search goes on from the row of the last pivot until a full pass finds none.
     """
     ranks = dict(ranks)
     torsion: dict[int, list[int]] = {}
     d = {n: [list(row) for row in m.entries] for n, m in boundaries.items()}
     for n, rows in sorted(d.items()):
-        live = [True] * len(rows)  # a row found zero stays zero: the search passes it by
-        t, misses, alive = 0, 0, len(rows)
-        while misses < alive:
-            try:
-                t = live.index(True, t)
-            except ValueError:
-                t = live.index(True)
-            if not any(rows[t]):
-                live[t], alive = False, alive - 1
-                continue
+        t = misses = 0
+        while misses < len(rows):
+            t %= len(rows)
             s = _pivot(rows[t], rows)
             if s is None:
                 t, misses = t + 1, misses + 1
                 continue
             top = rows.pop(t)
-            del live[t]
-            alive -= 1
             p = top.pop(s)
             support = list(compress(count(), top))
             for row in rows:
@@ -249,8 +247,12 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
 
 
 def cohomology_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
-    """H^n(c; g) assembled as Hom(H_n, g) + Ext(H_{n-1}, g)."""
-    return direct_sum([hom(homology(c, n), g), ext(homology(c, n - 1), g)])
+    """H^n(c; g) assembled as Hom(H_n, g) + Ext(H_{n-1}, g), once per distinct
+    (n, g) and kept on c; threads racing on one pair keep equal groups."""
+    h = c._cohomology.get((n, g))
+    if h is None:
+        h = c._cohomology[n, g] = direct_sum([hom(homology(c, n), g), ext(homology(c, n - 1), g)])
+    return h
 
 
 def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:

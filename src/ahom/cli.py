@@ -240,20 +240,17 @@ VERBS = {
 
 def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser for `verb` alone when it names one, else for every verb."""
-    parser = argparse.ArgumentParser(
+    parser = argparse.ArgumentParser(  # a usage written out lists every verb on every Python
         prog="ahom",
+        usage="%(prog)s [-h]\n            {" + ",".join(VERBS) + "}\n            ...",
         description="Exact-arithmetic cellular homology, shaped homology and "
                     "second-page spectral data for CW-complexes.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", choices=("text", "json"), default="text",
-                        help="output mode (default: text)")
-    names = [verb] if verb in VERBS else list(VERBS)
-    # with one verb built, a top-level usage line still lists them all
-    metavar = "{" + ",".join(VERBS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name in names:
+    sub = parser.add_subparsers(dest="verb", required=True, prog="ahom")
+    for name in [verb] if verb in VERBS else VERBS:
         help_text, func, options = VERBS[name]
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", choices=("text", "json"), default="text",
+                       help="output mode (default: text)")
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
@@ -264,6 +261,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv else None)
     try:
+        if argv and argv[0][:1] != "-" and argv[0] not in VERBS:  # worded alike on every Python
+            parser.error(f"argument verb: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(map(repr, VERBS))})")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

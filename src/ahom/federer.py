@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
 
 from .abelian import (
     FgAbGroup,
@@ -140,7 +139,6 @@ def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> Bigra
             f"refused: the table does not assert that {fundamental} is abelian, "
             "which the page construction requires and cannot verify")
     dim_a = a.top_degree
-    uct = cache(partial(cohomology_uct, a))  # one H^(-p)(a; g) per distinct (p, g)
     entries: dict[tuple[int, int], PageEntry] = {}
     for p in range(-dim_a, 0):
         for q in range(table.q_min, table.q_max + 1):
@@ -148,7 +146,7 @@ def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> Bigra
             if total < table.q_min - 1:
                 entries[(p, q)] = _ZERO_ENTRY
             else:
-                group = uct(-p, table.entries[q])
+                group = cohomology_uct(a, -p, table.entries[q])
                 if total >= table.q_min:
                     entries[(p, q)] = PageEntry(group, EXACT)
                 else:

@@ -4,7 +4,8 @@ The oracles here enumerate group elements or cochains, factor orders or
 invert over the rationals, and never touch the Smith-form machinery they are
 used to check.  The exceptions are the per-entry reference Hermite pass
 and the Smith form built on it, the matrix adapter of the library's Hermite
-pass, the degree-window sum for shaped homology, the unreduced graded homology,
+pass, the unmemoized Hom/Ext cohomology, the degree-window sum for shaped
+homology, the unreduced graded homology,
 the Hom complex whose homology is shaped homology, and the smash product
 with its Kunneth formula, which reduce through the library on purpose.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from ahom.abelian import (FgAbGroup, IntMatrix, PrimeSet, SmithDecomposition, cokernel,
-                          column_echelon, direct_sum)
+                          column_echelon, direct_sum, ext, hom)
 from ahom.chains import ChainComplex, cohomology_uct, homology
 from ahom.federer import TABLE_START, HomotopyTable
 
@@ -102,6 +103,12 @@ def brute_ext_order(g: FgAbGroup, h: FgAbGroup) -> int:
         }
         count *= h.order() // len(image)
     return count
+
+
+def unmemoized_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
+    """H^n(c; g) as Hom(H_n, g) + Ext(H_(n-1), g), assembled afresh on every
+    call; cohomology_uct keeps the same value on c."""
+    return direct_sum([hom(homology(c, n), g), ext(homology(c, n - 1), g)])
 
 
 def window_a_homology(a: ChainComplex, x: ChainComplex, n: int) -> FgAbGroup:

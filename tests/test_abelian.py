@@ -307,7 +307,9 @@ class TestLatticeUtilities:
     def test_kernel_basis_matches_smith_kernel(self, m):
         # the Smith construction: Hermite form of the V columns beyond the rank
         dec = snf(m)
-        smith_kernel, _ = echelon(dec.V.columns(range(dec.rank, m.cols)))
+        beyond = IntMatrix(m.cols, m.cols - dec.rank,
+                           tuple(row[dec.rank:] for row in dec.V.entries))
+        smith_kernel, _ = echelon(beyond)
         assert kernel_basis(m) == smith_kernel
 
     def test_solve_exact_and_unsolvable(self):

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -26,7 +28,8 @@ from ahom.chains import (
 from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.spaces import moore, projective, sphere
 from helpers import (brute_cohomology_orders, complex_to_json, hadamard_square, kunneth,
-                     order_counts, scrambled_complex, smash, unreduced_graded_homology)
+                     order_counts, scrambled_complex, smash, unmemoized_uct,
+                     unreduced_graded_homology)
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -188,6 +191,54 @@ class TestGradedHomologyCache:
         assert cohomology_uct(c, 2, Z) == FgAbGroup(1, planted[1].invariant_factors)
         assert len(calls) == first
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32),
+           st.lists(st.tuples(st.integers(-1, 6), st.integers(0, 2)), min_size=1, max_size=30))
+    def test_kept_cohomology_is_invisible(self, seed, asks):
+        # repeated, interleaved asks over a pool of three coefficient groups
+        rng = random.Random(seed)
+        c = random_complex(rng)
+        pool = [random_group(rng) for _ in range(3)]
+        form = complex_to_json(c)
+        for n, i in asks:
+            g = pool[i]
+            assert cohomology_uct(c, n, g) == unmemoized_uct(c, n, g) == cohomology_direct(c, n, g)
+        assert len(vars(c)["_cohomology"]) == len({(n, pool[i]) for n, i in asks})
+        fresh = complex_from_json(form)
+        assert c == fresh and fresh == c and repr(c) == repr(fresh)
+        assert complex_to_json(c) == form
+
+    def test_kept_cohomology_shared_across_threads(self):
+        # more threads than cores ask one cold complex, switching often:
+        # every answer is the unmemoized one and no pair is kept twice
+        rng = random.Random(7)
+        c = random_complex(rng)
+        pool = [random_group(rng) for _ in range(3)]
+        asks = [(n, g) for n in range(-1, c.top_degree + 2) for g in pool] * 3
+        fresh = complex_from_json(complex_to_json(c))
+        want = {(n, g): unmemoized_uct(fresh, n, g) for n, g in asks}
+        results = {}
+
+        def ask(i):
+            results[i] = [(key, cohomology_uct(c, *key))
+                          for key in random.Random(i).sample(asks, len(asks))]
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == list(range(8))
+        assert all(h == want[key] for answers in results.values() for key, h in answers)
+        assert len(vars(c)["_cohomology"]) <= len(want)
+        assert c == fresh
+
     def test_free_cells_in_one_degree(self, tmp_path):
         path = tmp_path / "free.json"
         path.write_text(json.dumps({"reduced": True, "ranks": {"2": 3000}, "boundaries": {}}))
@@ -234,23 +285,6 @@ class TestUnitReduction:
         pieces = planted_pieces(rng, top, count, ("torsion", "torsion", "unit", "free"), 12)
         c, planted = scrambled_complex(rng, pieces)
         assert c.graded_homology == planted == unreduced_graded_homology(c)
-
-    def test_search_passes_zero_rows_by(self, monkeypatch):
-        # a row that the Schur updates zero stays zero, so the search hands
-        # _pivot nonzero rows only, and the homology is unchanged
-        calls = Counter()
-        pivot = chains._pivot
-
-        def recording(row, rows):
-            calls[any(row)] += 1
-            return pivot(row, rows)
-
-        monkeypatch.setattr(chains, "_pivot", recording)
-        for seed in range(30):
-            rng = random.Random(seed)
-            c, planted = scrambled_complex(rng, planted_pieces(rng, 3, 14))
-            assert c.graded_homology == planted == unreduced_graded_homology(c)
-        assert calls[True] and not calls[False]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 14))

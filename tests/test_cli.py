@@ -116,8 +116,8 @@ class TestVerbs:
         assert calls == {"suspension": 1, "wedge": 1}
 
     def test_axioms_sum_only_where_x_has_homology(self, capsys, monkeypatch):
-        # sphere:64 has homology in degree 64 only, so each of the four sums
-        # at n = 0..64 makes one Hom/Ext call (260) and n = 65 makes none
+        # sphere:64 has homology in degree 64 only, so each of the five sums
+        # at n = 0..64 (x twice in the wedge) makes one call (325) and n = 65 none
         from ahom import ahomology
         calls = []
 
@@ -130,21 +130,20 @@ class TestVerbs:
         assert code == 0 and "FAILS" not in out
         assert len(calls) <= 330
 
-    def test_axioms_wedge_of_one_piece_twice_sums_it_once(self, capsys, monkeypatch):
-        # per degree n = 0..65: one sum for the piece x, shared by both axioms
-        # and counted twice in the wedge, one for its suspension and one for
-        # the wedge x v x (3 * 66 = 198)
-        from ahom import ahomology
+    def test_axioms_assemble_each_cohomology_group_once(self, capsys, monkeypatch):
+        # H^k(rp:64; g) for k = 0..64 and two groups g, Z/2 for x and its
+        # suspension and Z/2+Z/2 for the wedge x v x: at most 130 Hom groups
+        from ahom import chains
         calls = []
 
-        def counted(*args, _fn=ahomology.a_homology):
+        def counted(*args, _fn=chains.hom):
             calls.append(args)
             return _fn(*args)
 
-        monkeypatch.setattr(ahomology, "a_homology", counted)
+        monkeypatch.setattr(chains, "hom", counted)
         code, out, _ = run(capsys, "axioms", "--A", "rp:64", "--X", "rp:64")
         assert code == 0 and "FAILS" not in out
-        assert len(calls) <= 198
+        assert len(calls) <= 130
 
 
 class TestExitCodes:

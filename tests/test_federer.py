@@ -1,12 +1,11 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahom import federer
-from ahom.abelian import FgAbGroup, PrimeSet
+from ahom import chains, federer
+from ahom.abelian import FgAbGroup, PrimeSet, hom
 from ahom.chains import cohomology_direct, cohomology_uct, homology
 from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.federer import (
@@ -39,7 +38,7 @@ from ahom.federer import (
 )
 from ahom.spaces import moore, projective, sphere
 from ahom.chains import suspension, wedge
-from helpers import constant_table
+from helpers import constant_table, unmemoized_uct
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -82,7 +81,7 @@ class TestHomotopyTable:
 class TestPageAssembly:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from([ABSOLUTE, RELATIVE]))
-    def test_shared_cohomology_gives_the_unshared_page(self, seed, variant):
+    def test_page_assembles_each_distinct_group_once(self, seed, variant):
         # groups drawn from a pool of three, so many entries share (-p, pi_q)
         rng = random.Random(seed)
         a = random_complex(rng)
@@ -91,23 +90,19 @@ class TestPageAssembly:
         table = HomotopyTable(variant, {q: rng.choice(pool)
                                         for q in range(start, start + rng.randint(1, 10))}, True)
         assemble = federer_e2 if variant == ABSOLUTE else relative_federer_e2
-        calls = Counter()
-
-        def counting(c, n, g):
-            calls[n, g] += 1
-            return cohomology_uct(c, n, g)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(federer, "cache", lambda f: f)  # one cohomology_uct per entry
+            mp.setattr(federer, "cohomology_uct", unmemoized_uct)
             unshared = assemble(a, table)
+        assert "_cohomology" not in vars(a)
+        homs = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(federer, "cohomology_uct", counting)
+            mp.setattr(chains, "hom", lambda h, g: homs.append(g) or hom(h, g))
             shared = assemble(a, table)
         assert shared == unshared
-        assert set(calls.values()) <= {1}
-        for (p, q), entry in shared.entries.items():
-            if entry.status != ZERO:
-                assert entry.group == cohomology_uct(a, -p, table.entries[q])
+        asked = {(-p, table.entries[q]) for (p, q), e in shared.entries.items()
+                 if e.status != ZERO}
+        assert len(homs) == len(asked)
 
     def test_sphere_shape_single_column(self):
         m = 3
