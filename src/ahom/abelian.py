@@ -148,21 +148,6 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows,
                          tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
-    @classmethod
-    def block_diagonal(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[0] * cols for _ in range(rows)]
-        i0 = j0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                row = out[i0 + i]
-                for j in range(b.cols):
-                    row[j0 + j] = b.entries[i][j]
-            i0 += b.rows
-            j0 += b.cols
-        return cls(rows, cols, tuple(tuple(r) for r in out))
-
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:

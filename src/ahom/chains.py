@@ -324,9 +324,17 @@ def wedge(cs: Sequence[ChainComplex]) -> ChainComplex:
     if not cs:
         return TRIVIAL_COMPLEX
     ranks = {n: sum(c.rank(n) for c in cs) for n in sorted({n for c in cs for n in c.ranks})}
+
+    def block_diagonal(n: int) -> IntMatrix:
+        rows, left, cols = [], 0, ranks.get(n, 0)
+        for c in cs:  # each piece's rows, padded with zeros left and right
+            pads = (0,) * left, (0,) * (cols - left - c.rank(n))
+            rows += [pads[0] + row + pads[1] for row in c.boundary(n).entries]
+            left += c.rank(n)
+        return IntMatrix(len(rows), cols, tuple(rows))
+
     # a degree where no piece has a boundary stays absent, that is, zero
-    boundaries = {n: IntMatrix.block_diagonal([c.boundary(n) for c in cs])
-                  for n in sorted({n for c in cs for n in c.boundaries})}
+    boundaries = {n: block_diagonal(n) for n in sorted({n for c in cs for n in c.boundaries})}
     name = "wedge(" + ",".join(c.name for c in cs) + ")"
     return ChainComplex(name, ranks, boundaries)
 
@@ -373,11 +381,20 @@ def complex_from_json(data: object) -> ChainComplex:
 
 
 def read_json(path: str, error: type[ValueError] = ValueError) -> object:
-    """The JSON value in the file at `path`; text that is not JSON, or is
-    nested too deeply to read, raises `error` naming the cause."""
+    """The JSON value in the file at `path`; text that is not JSON, is
+    nested too deeply to read or repeats a key in one object raises `error`
+    naming the cause."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise error(f"JSON object repeats the key {json.dumps(key)}")
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise error(f"not valid JSON: {exc}") from None
         except RecursionError:

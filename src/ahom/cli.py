@@ -104,8 +104,8 @@ def _cmd_diagonal(args) -> int:
         lines.append(f"group = {verdict.group}")
     if verdict.surviving:
         lines.append("surviving entries:")
-        lines.extend(f"  ({p},{q}) = {e.group} [{e.status}]"
-                     for p, q, e in verdict.surviving)
+        lines.extend(f"  ({p},{q}) = {g} [{status}]"
+                     for p, q, g, status in verdict.surviving)
     if verdict.notes:
         lines.append("notes:")
         lines.extend(f"  - {note}" for note in verdict.notes)
@@ -113,8 +113,8 @@ def _cmd_diagonal(args) -> int:
         "n": verdict.n,
         "verdict": verdict.verdict,
         "group": str(verdict.group) if verdict.group is not None else None,
-        "surviving": [{"p": p, "q": q, "group": str(e.group), "status": e.status}
-                      for p, q, e in verdict.surviving],
+        "surviving": [{"p": p, "q": q, "group": str(g), "status": status}
+                      for p, q, g, status in verdict.surviving],
         "notes": list(verdict.notes),
     }
     _emit(args, "\n".join(lines), data)

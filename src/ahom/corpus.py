@@ -323,21 +323,20 @@ def check_page_shape() -> CheckResult:
             abs_page = federer_e2(a, random_table(rng, ABSOLUTE, q_max=6))
             rel_page = relative_federer_e2(a, random_table(rng, RELATIVE, q_max=7))
             for page, edge in ((abs_page, 0), (rel_page, 1)):
-                for (p, q), entry in page.entries.items():
-                    total = p + q
+                for (p, q), group in page.entries.items():
+                    total, status, must_die = p + q, page.status(p, q), page.must_die(p, q)
                     if total < edge:
-                        ok = entry.status == ZERO and entry.group.is_trivial()
+                        ok = status == ZERO and group.is_trivial() and not must_die
                     elif total == edge:
-                        ok = entry.status == UPPER_BOUND and \
-                            entry.must_die == (page.variant == RELATIVE)
+                        ok = status == UPPER_BOUND and must_die == (page.variant == RELATIVE)
                     else:
-                        ok = entry.status == EXACT and not entry.must_die
+                        ok = status == EXACT and not must_die
                     if not ok:
                         return CheckResult(
                             "page-shape", False,
                             f"A={a.name}, variant={page.variant}, "
-                            f"entry ({p},{q}) has status {entry.status}")
-                if not page.entry(-a.top_degree - 1, page.q_range[1]).group.is_trivial():
+                            f"entry ({p},{q}) has status {status}")
+                if not page.group(-a.top_degree - 1, page.q_range[1]).is_trivial():
                     return CheckResult("page-shape", False, "column bound violated")
                 pages += 1
     return CheckResult("page-shape", True, f"{pages} pages with exact support")

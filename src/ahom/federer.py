@@ -1,14 +1,17 @@
 """Second-page assembly for the homotopy spectral sequence of a shape complex.
 
 The page lives in the second quadrant: columns p from -dim(A) to -1, rows q
-over a user-supplied table of homotopy groups.  Entry (p, q) is the
-cohomology H^(-p)(A; pi_q) with a status recording how much the underlying
-theorem pins it down:
+over a user-supplied table of homotopy groups.  The page stores one group
+per cell, the cohomology H^(-p)(A; pi_q).  How much the underlying theorem
+pins a cell down depends on its position alone, p + q against the edge
+diagonal q_min - 1 of the variant, and :meth:`BigradedPage.status` is the
+one place that says so:
 
 * ``exact`` above the edge diagonal,
 * ``subgroup_upper_bound`` on the edge diagonal (the theorem only places the
-  true entry inside that group, and this module never narrows it),
-* ``zero`` where the support pattern mandates vanishing.
+  true entry inside that group, and this module never narrows it); in the
+  relative variant these cells must also die,
+* ``zero`` below it, where the support pattern mandates vanishing.
 
 Higher differentials have no formula here, so collapse detection is purely
 positional: a diagonal entry is pinned down only when every differential
@@ -24,7 +27,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abelian import (
     FgAbGroup,
@@ -100,34 +103,35 @@ class HomotopyTable:
         return max(self.entries)
 
 
-@dataclass(frozen=True)
-class PageEntry:
-    group: FgAbGroup
-    status: str
-    must_die: bool = False
-
-
-_ZERO_ENTRY = PageEntry(FgAbGroup.trivial(), ZERO)
+TRIVIAL = FgAbGroup.trivial()
 
 
 @dataclass(frozen=True)
 class BigradedPage:
-    """The finite grid of second-page entries for one shape complex and table."""
+    """The finite grid of second-page groups for one shape complex and table;
+    a cell's status follows from p + q and the variant alone."""
 
     variant: str
     p_range: tuple[int, int]
     q_range: tuple[int, int]
-    entries: dict[tuple[int, int], PageEntry]
+    entries: dict[tuple[int, int], FgAbGroup]
 
-    def entry(self, p: int, q: int) -> PageEntry:
-        return self.entries.get((p, q), _ZERO_ENTRY)
+    def status(self, p: int, q: int) -> str:
+        """Zero below the edge diagonal p + q = q_min - 1, an upper bound on it, exact above."""
+        above_edge = p + q - TABLE_START[self.variant] + 1
+        return ZERO if above_edge < 0 else EXACT if above_edge else UPPER_BOUND
 
-    def diagonal(self, n: int) -> list[tuple[int, int, PageEntry]]:
-        """All stored entries with p + q = n, leftmost column first."""
+    def must_die(self, p: int, q: int) -> bool:
+        """Relative edge cells converge to the trivial group."""
+        return self.variant == RELATIVE and self.status(p, q) == UPPER_BOUND
+
+    def group(self, p: int, q: int) -> FgAbGroup:
+        return self.entries.get((p, q), TRIVIAL)
+
+    def diagonal(self, n: int) -> list[tuple[int, int]]:
+        """The stored cells with p + q = n, leftmost column first."""
         p_lo, p_hi = self.p_range
-        return [(p, n - p, self.entries[(p, n - p)])
-                for p in range(p_lo, p_hi + 1)
-                if (p, n - p) in self.entries]
+        return [(p, n - p) for p in range(p_lo, p_hi + 1) if (p, n - p) in self.entries]
 
 
 def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> BigradedPage:
@@ -138,21 +142,11 @@ def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> Bigra
         raise RefusedHypothesis(
             f"refused: the table does not assert that {fundamental} is abelian, "
             "which the page construction requires and cannot verify")
-    dim_a = a.top_degree
-    entries: dict[tuple[int, int], PageEntry] = {}
-    for p in range(-dim_a, 0):
-        for q in range(table.q_min, table.q_max + 1):
-            total = p + q
-            if total < table.q_min - 1:
-                entries[(p, q)] = _ZERO_ENTRY
-            else:
-                group = cohomology_uct(a, -p, table.entries[q])
-                if total >= table.q_min:
-                    entries[(p, q)] = PageEntry(group, EXACT)
-                else:
-                    entries[(p, q)] = PageEntry(
-                        group, UPPER_BOUND, must_die=(variant == RELATIVE))
-    return BigradedPage(variant, (-dim_a, -1), (table.q_min, table.q_max), entries)
+    q_min, q_max = table.q_min, table.q_max
+    grid = BigradedPage(variant, (-a.top_degree, -1), (q_min, q_max), {})
+    return replace(grid, entries={
+        (p, q): TRIVIAL if grid.status(p, q) == ZERO else cohomology_uct(a, -p, table.entries[q])
+        for p in range(-a.top_degree, 0) for q in range(q_min, q_max + 1)})
 
 
 def federer_e2(a: ChainComplex, table: HomotopyTable) -> BigradedPage:
@@ -189,7 +183,7 @@ class DiagonalVerdict:
     """
 
     n: int
-    surviving: tuple[tuple[int, int, PageEntry], ...]
+    surviving: tuple[tuple[int, int, FgAbGroup, str], ...]  # (p, q, group, status)
     verdict: str
     group: FgAbGroup | None = None
     notes: tuple[str, ...] = ()
@@ -210,23 +204,19 @@ def collapse_report(page: BigradedPage, n: int) -> DiagonalVerdict:
             n, (), OUT_OF_RANGE, None,
             (f"table ends at q = {q_hi} but the diagonal needs q up to {max(missing)}",))
 
-    support_min = threshold - 1
-
     def possibly_nonzero(p: int, q: int) -> bool | None:
         """False when the position is forced to vanish, None when unknown."""
-        if p < p_lo or p > p_hi:
-            return False
-        if p + q < support_min:
+        if p < p_lo or p > p_hi or page.status(p, q) == ZERO:
             return False
         if q > q_hi:
             return None
-        return not page.entry(p, q).group.is_trivial()
+        return not page.group(p, q).is_trivial()
 
-    surviving = [(p, q, e) for p, q, e in page.diagonal(n)
-                 if not e.group.is_trivial()]
+    surviving = [(p, q, g, page.status(p, q)) for p, q in page.diagonal(n)
+                 if not (g := page.entries[(p, q)]).is_trivial()]
     notes: list[str] = []
     any_possible_differential = False
-    for p, q, _ in surviving:
+    for p, q, _, _ in surviving:
         for step in range(2, (p_hi - p_lo) + 2):
             for p2, q2 in ((p + step, q - step + 1), (p - step, q + step - 1)):
                 state = possibly_nonzero(p2, q2)
@@ -246,9 +236,9 @@ def collapse_report(page: BigradedPage, n: int) -> DiagonalVerdict:
     if any_possible_differential:
         return DiagonalVerdict(
             n, tuple(surviving), GRADED_UPPER_BOUNDS, None, tuple(notes))
-    if len(surviving) == 1 and surviving[0][2].status == EXACT:
+    if len(surviving) == 1 and surviving[0][3] == EXACT:
         return DiagonalVerdict(
-            n, tuple(surviving), DETERMINED, surviving[0][2].group,
+            n, tuple(surviving), DETERMINED, surviving[0][2],
             ("single surviving exact entry with all differentials dead",))
     return DiagonalVerdict(
         n, tuple(surviving), GRADED_UPPER_BOUNDS, None,
@@ -363,10 +353,10 @@ def torsion_class_check(a: ChainComplex, table: HomotopyTable,
                      if not in_class(homology(a, j), primes))
     hypothesis = not failures
     page = federer_e2(a, table)
-    entries_ok = all(in_class(e.group, primes) for e in page.entries.values())
+    entries_ok = all(in_class(g, primes) for g in page.entries.values())
     flags: dict[int, bool] = {}
     for n in range(1, table.q_max - a.top_degree + 1):
-        diag_ok = all(in_class(e.group, primes) for _, _, e in page.diagonal(n))
+        diag_ok = all(in_class(page.entries[cell], primes) for cell in page.diagonal(n))
         flags[n] = hypothesis and diag_ok
     return TorsionClassReport(
         primes=primes,
@@ -402,8 +392,8 @@ def e2_consistency_with_ahomology(a: ChainComplex, x: ChainComplex,
         abelian_assumption=True,  # automatic for the symmetric-product target
     )
     page = federer_e2(a, table)
-    diagonal_sum = direct_sum([e.group for _, _, e in page.diagonal(n)
-                               if e.status == EXACT])
+    diagonal_sum = direct_sum([page.entries[(p, q)] for p, q in page.diagonal(n)
+                               if page.status(p, q) == EXACT])
     formula_value = a_homology(a, x, n)
     return ConsistencyCheck(n, diagonal_sum == formula_value,
                             diagonal_sum, formula_value)
@@ -442,13 +432,9 @@ def load_homotopy_table(path: str) -> HomotopyTable:
     return homotopy_table_from_json(read_json(path))
 
 
-def _cell_text(entry: PageEntry) -> str:
-    text = str(entry.group)
-    if entry.status == UPPER_BOUND:
-        text += "*"
-    if entry.must_die:
-        text += "!"
-    return text
+def _cell_text(page: BigradedPage, p: int, q: int) -> str:
+    return (str(page.group(p, q)) + ("*" if page.status(p, q) == UPPER_BOUND else "")
+            + ("!" if page.must_die(p, q) else ""))
 
 
 def render_page(page: BigradedPage) -> str:
@@ -463,7 +449,7 @@ def render_page(page: BigradedPage) -> str:
     header = ["q\\p"] + [str(p) for p in ps]
     rows = [header]
     for q in range(q_hi, q_lo - 1, -1):
-        rows.append([str(q)] + [_cell_text(page.entry(p, q)) for p in ps])
+        rows.append([str(q)] + [_cell_text(page, p, q) for p in ps])
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     return "\n".join(
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
@@ -472,10 +458,9 @@ def render_page(page: BigradedPage) -> str:
 
 def page_to_json(page: BigradedPage) -> dict:
     out = {}
-    for (p, q) in sorted(page.entries):
-        entry = page.entries[(p, q)]
-        cell = {"group": str(entry.group), "status": entry.status}
-        if entry.must_die:
+    for p, q in sorted(page.entries):
+        cell = {"group": str(page.entries[(p, q)]), "status": page.status(p, q)}
+        if page.must_die(p, q):
             cell["must_die"] = True
         out[f"{p},{q}"] = cell
     return out

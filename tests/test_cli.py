@@ -307,6 +307,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "nested too deeply" in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (("homology", "--X", "file:{path}"),
+         '{"reduced": true, "ranks": {"1": 1, "1": 2}, "boundaries": {}}'),
+        (("federer-e2", "--A", "rp:2", "--table", "{path}"),
+         '{"variant": "absolute", "abelian": true, "pi": {"1": "Z", "2": "0", "1": "Z/2"}}'),
+    ], ids=["complex", "table"])
+    def test_repeated_json_key_is_two(self, capsys, tmp_path, argv, text):
+        # the last value would silently win; the file is refused instead
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *(a.replace("{path}", str(path)) for a in argv))
+        assert (code, out) == (2, "")
+        assert 'JSON object repeats the key "1"' in err
+
     @pytest.mark.parametrize("verb", ["homology", "cohomology", "ahomology", "axioms"])
     def test_sphere_at_the_degree_limit_answers(self, capsys, verb):
         x = f"sphere:{MAX_DEGREE}"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ahom import chains, federer
 from ahom.abelian import FgAbGroup, PrimeSet, hom
 from ahom.chains import cohomology_direct, cohomology_uct, homology
-from ahom.corpus import connected_complex, random_complex, random_group
+from ahom.corpus import connected_complex, random_complex, random_group, random_table
 from ahom.federer import (
     ABSOLUTE,
     DETERMINED,
@@ -21,7 +21,6 @@ from ahom.federer import (
     UPPER_BOUND,
     ZERO,
     HomotopyTable,
-    PageEntry,
     RefusedHypothesis,
     TableRangeMiss,
     collapse_report,
@@ -100,55 +99,82 @@ class TestPageAssembly:
             mp.setattr(chains, "hom", lambda h, g: homs.append(g) or hom(h, g))
             shared = assemble(a, table)
         assert shared == unshared
-        asked = {(-p, table.entries[q]) for (p, q), e in shared.entries.items()
-                 if e.status != ZERO}
+        asked = {(-p, table.entries[q]) for p, q in shared.entries
+                 if shared.status(p, q) != ZERO}
         assert len(homs) == len(asked)
 
     def test_sphere_shape_single_column(self):
         m = 3
         page = federer_e2(sphere(m), table_z(6))
-        for (p, q), entry in page.entries.items():
+        for (p, q), group in page.entries.items():
             if p == -m and p + q >= 0:
-                assert entry.group == Z
+                assert group == Z
             else:
-                assert entry.group == TRIVIAL
+                assert group == TRIVIAL
 
     def test_projective_plane_integer_table(self):
         page = federer_e2(projective(2), table_z(6))
         for q in range(1, 7):
             if q >= 3:
-                assert page.entry(-2, q) == PageEntry(Z2, EXACT)
-            assert page.entry(-1, q).group == TRIVIAL
+                assert page.group(-2, q) == Z2 and page.status(-2, q) == EXACT
+            assert page.group(-1, q) == TRIVIAL
 
     def test_projective_plane_mod_two_table(self):
         page = federer_e2(projective(2), constant_table(ABSOLUTE, Z2, 5))
         for q in range(1, 6):
             for p in (-1, -2):
                 if p + q >= 1:
-                    assert page.entry(p, q).group == Z2
+                    assert page.group(p, q) == Z2
 
     def test_support_pattern_absolute(self):
         page = federer_e2(projective(2), table_z(4))
-        for (p, q), entry in page.entries.items():
+        for (p, q), group in page.entries.items():
             if p + q < 0:
-                assert entry.status == ZERO and entry.group == TRIVIAL
+                assert page.status(p, q) == ZERO and group == TRIVIAL
             elif p + q == 0:
-                assert entry.status == UPPER_BOUND
+                assert page.status(p, q) == UPPER_BOUND
             else:
-                assert entry.status == EXACT
+                assert page.status(p, q) == EXACT
 
     def test_support_pattern_relative(self):
         t = constant_table(RELATIVE, FgAbGroup.cyclic(4), 7)
         page = relative_federer_e2(projective(2), t)
-        for (p, q), entry in page.entries.items():
+        for p, q in page.entries:
             if p + q <= 0:
-                assert entry.status == ZERO
+                assert page.status(p, q) == ZERO
             elif p + q == 1:
-                assert entry.status == UPPER_BOUND and entry.must_die
+                assert page.status(p, q) == UPPER_BOUND and page.must_die(p, q)
             else:
-                assert entry.status == EXACT and not entry.must_die
-        assert page.entry(-1, 3).group == Z2  # Hom(Z/2, Z/4)
-        assert page.entry(-2, 4).group == Z2  # Ext(Z/2, Z/4)
+                assert page.status(p, q) == EXACT and not page.must_die(p, q)
+        assert page.group(-1, 3) == Z2  # Hom(Z/2, Z/4)
+        assert page.group(-2, 4) == Z2  # Ext(Z/2, Z/4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([ABSOLUTE, RELATIVE]))
+    def test_cells_are_cochain_cohomology_and_status_is_positional(self, seed, variant):
+        rng = random.Random(seed)
+        a = connected_complex(rng, max_top=4, max_rank=3)
+        table = random_table(rng, variant, q_max=rng.randint(TABLE_START[variant], 6))
+        page = (federer_e2 if variant == ABSOLUTE else relative_federer_e2)(a, table)
+        edge = 0 if variant == ABSOLUTE else 1
+        assert set(page.entries) == {(p, q) for p in range(-a.top_degree, 0)
+                                     for q in table.entries}
+        direct = {}
+        for p in range(-a.top_degree - 1, 1):
+            for q in range(table.q_min - 1, table.q_max + 2):
+                total = p + q
+                if (p, q) not in page.entries:
+                    assert page.group(p, q) == TRIVIAL
+                elif total < edge:
+                    assert page.group(p, q) == TRIVIAL
+                else:
+                    key = (-p, table.entries[q])
+                    if key not in direct:
+                        direct[key] = cohomology_direct(a, *key)
+                    assert page.group(p, q) == direct[key], (p, q)
+                want = ZERO if total < edge else UPPER_BOUND if total == edge else EXACT
+                assert page.status(p, q) == want, (p, q)
+                assert page.must_die(p, q) == (variant == RELATIVE and total == edge)
 
     def test_refuses_without_abelian_assumption(self):
         t = constant_table(ABSOLUTE, Z, 4, abelian=False)
@@ -360,7 +386,7 @@ class TestTwoSphereScenario:
         page = federer_e2(projective(2), pi_s2)
         verdict = collapse_report(page, 3)
         assert verdict.verdict == GRADED_UPPER_BOUNDS
-        assert sorted(str(e.group) for _, _, e in verdict.surviving) == ["Z/2", "Z/2"]
+        assert sorted(str(g) for _, _, g, _ in verdict.surviving) == ["Z/2", "Z/2"]
 
 
 class TestConsistency:
