@@ -262,8 +262,8 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     """
     rows, cols = m.rows, m.cols
     a = _transpose(m.entries, cols)
-    vcols = list(IntMatrix.identity(cols).entries) if certificate else None
-    urows = list(IntMatrix.identity(rows).entries) if certificate else None
+    vcols = _unit_vectors(cols) if certificate else None
+    urows = _unit_vectors(rows) if certificate else None
     while True:
         column_echelon(a, vcols)
         a = _transpose(a, rows)
@@ -368,6 +368,11 @@ def _transpose(lists: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return list(zip(*lists)) or [()] * n
 
 
+def _unit_vectors(n: int) -> list[tuple[int, ...]]:
+    """The rows, or equally the columns, of the n x n identity matrix."""
+    return [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+
+
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """A lattice basis of ker(m), returned as the columns of a matrix.
 
@@ -376,7 +381,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     is then Hermite-reduced, which makes the result the unique Hermite
     basis of the kernel lattice, with small entries.
     """
-    w = list(IntMatrix.identity(m.cols).entries)
+    w = _unit_vectors(m.cols)
     raw = w[len(column_echelon(_transpose(m.entries, m.cols), w)):]
     column_echelon(raw)  # raw has independent columns, so H has no zero column
     return IntMatrix(m.cols, len(raw), tuple(_transpose(raw, m.cols)))
@@ -386,7 +391,7 @@ def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """An integer solution X of m @ X == b, or None when none exists."""
     if b.rows != m.rows:
         raise ValueError("right-hand side has wrong height")
-    h, w = _transpose(m.entries, m.cols), list(IntMatrix.identity(m.cols).entries)
+    h, w = _transpose(m.entries, m.cols), _unit_vectors(m.cols)
     leads = column_echelon(h, w)
     x_cols = []
     for res in map(list, _transpose(b.entries, b.cols)):
@@ -436,6 +441,10 @@ class FgAbGroup:
             if prev is not None and d % prev:
                 raise ValueError(f"broken divisor chain: {prev} does not divide {d}")
             prev = d
+        object.__setattr__(self, "_hash", hash((self.free_rank, self.invariant_factors)))
+
+    def __hash__(self) -> int:  # computed once: groups key the memos
+        return self._hash
 
     # -- constructors -------------------------------------------------
 
@@ -558,24 +567,25 @@ def cokernel(m: IntMatrix) -> FgAbGroup:
 
 
 def hom(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
-    """Hom(g, h), assembled from the cyclic pieces.
+    """Hom(g, h): Hom(Z, H) = H, Hom(Z/a, Z) = 0 and Hom(Z/a, Z/b) = Z/gcd(a, b)."""
+    return FgAbGroup.of(g.free_rank * h.free_rank, hom_orders(g, h))
 
-    Hom(Z, H) = H, Hom(Z/a, Z) = 0 and Hom(Z/a, Z/b) = Z/gcd(a, b).
-    """
+
+def hom_orders(g: FgAbGroup, h: FgAbGroup) -> list[int]:
+    """The orders of the cyclic torsion summands of :func:`hom`, not canonicalized."""
     orders = list(h.invariant_factors) * g.free_rank
-    orders.extend(math.gcd(a, b)
-                  for a in g.invariant_factors
-                  for b in h.invariant_factors)
-    return FgAbGroup.of(g.free_rank * h.free_rank, orders)
+    return orders + [math.gcd(a, b) for a in g.invariant_factors for b in h.invariant_factors]
 
 
 def ext(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     """Ext(g, h): Ext(Z, H) = 0 and Ext(Z/a, H) = H/aH."""
-    orders = []
-    for a in g.invariant_factors:
-        orders.extend([a] * h.free_rank)
-        orders.extend(math.gcd(a, b) for b in h.invariant_factors)
-    return FgAbGroup.of(0, orders)
+    return FgAbGroup.of(0, ext_orders(g, h))
+
+
+def ext_orders(g: FgAbGroup, h: FgAbGroup) -> list[int]:
+    """The orders of the cyclic summands of :func:`ext`, all finite, not canonicalized."""
+    return [c for a in g.invariant_factors
+            for c in [a] * h.free_rank + [math.gcd(a, b) for b in h.invariant_factors]]
 
 
 def direct_sum(groups: Iterable[FgAbGroup]) -> FgAbGroup:

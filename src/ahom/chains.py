@@ -38,8 +38,8 @@ from itertools import chain, compress, count, repeat
 from operator import itemgetter, mod
 from typing import Sequence
 
-from .abelian import (FgAbGroup, IntMatrix, canonical_int, cokernel, composite_is_zero,
-                      direct_sum, ext, hom)
+from .abelian import (FgAbGroup, IntMatrix, canonical_int, cokernel, column_echelon,
+                      composite_is_zero, ext_orders, hom_orders)
 # not called here: the benchmark's tracer rebinds chains.kernel_basis and its tests check that
 from .abelian import kernel_basis  # noqa: F401
 
@@ -247,11 +247,13 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
 
 
 def cohomology_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
-    """H^n(c; g) assembled as Hom(H_n, g) + Ext(H_{n-1}, g), once per distinct
+    """H^n(c; g) = Hom(H_n, g) + Ext(H_{n-1}, g), canonicalized once per distinct
     (n, g) and kept on c; threads racing on one pair keep equal groups."""
     h = c._cohomology.get((n, g))
     if h is None:
-        h = c._cohomology[n, g] = direct_sum([hom(homology(c, n), g), ext(homology(c, n - 1), g)])
+        hn = homology(c, n)
+        h = c._cohomology[n, g] = FgAbGroup.of(
+            hn.free_rank * g.free_rank, hom_orders(hn, g) + ext_orders(homology(c, n - 1), g))
     return h
 
 
@@ -264,8 +266,9 @@ def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     the n-cochains C^n:
 
     * Z: im(beta) is free, so ker(beta) is a direct summand of C^n and
-      coker(alpha) is H^n(c; Z) plus rank(beta) free summands.  That pair
-      of reductions serves every Z summand of g.
+      coker(alpha) is H^n(c; Z) plus rank(beta) free summands.  One Smith
+      reduction of alpha and one Hermite pass over the columns of d_(n+1),
+      whose pivots count rank(beta), serve every Z summand of g.
     * Z/d: the mod-d cochains are the quotient of C^* by the injective
       map d, so they are quasi-isomorphic to its mapping cone, whose
       n-cochains C^(n+1) + C^n are hit by [[-beta, 0], [d*I, alpha]].  The
@@ -290,17 +293,16 @@ def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     alpha = lower.transpose().entries if lower is not None else ((),) * r
     beta = upper.transpose().entries if upper is not None else ()
     zero = (0,) * len(alpha[0])
-    parts = []
+    rank, orders = 0, []
     if g.free_rank:
         coker = cokernel(IntMatrix(r, len(zero), alpha))
-        rank_beta = r - cokernel(upper).free_rank if upper is not None else 0
-        parts += [FgAbGroup(coker.free_rank - rank_beta, coker.invariant_factors)] * g.free_rank
+        rank = (coker.free_rank - len(column_echelon(list(beta)))) * g.free_rank
+        orders = list(coker.invariant_factors) * g.free_rank
     for d in g.invariant_factors:
         cone = tuple(row + zero for row in beta) + tuple(
             e + a for e, a in zip(IntMatrix.diagonal([d] * r).entries, alpha))
-        parts.append(FgAbGroup(0, cokernel(IntMatrix(len(cone), r + len(zero), cone))
-                               .invariant_factors))
-    return direct_sum(parts)
+        orders += cokernel(IntMatrix(len(cone), r + len(zero), cone)).invariant_factors
+    return FgAbGroup.of(rank, orders)
 
 
 # ---------------------------------------------------------------------------

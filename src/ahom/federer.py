@@ -353,16 +353,14 @@ def torsion_class_check(a: ChainComplex, table: HomotopyTable,
                      if not in_class(homology(a, j), primes))
     hypothesis = not failures
     page = federer_e2(a, table)
-    entries_ok = all(in_class(g, primes) for g in page.entries.values())
-    flags: dict[int, bool] = {}
-    for n in range(1, table.q_max - a.top_degree + 1):
-        diag_ok = all(in_class(page.entries[cell], primes) for cell in page.diagonal(n))
-        flags[n] = hypothesis and diag_ok
+    verdicts = {g: in_class(g, primes) for g in set(page.entries.values())}  # per distinct group
+    flags = {n: hypothesis and all(verdicts[page.entries[cell]] for cell in page.diagonal(n))
+             for n in range(1, table.q_max - a.top_degree + 1)}
     return TorsionClassReport(
         primes=primes,
         hypothesis_holds=hypothesis,
         hypothesis_failures=failures,
-        entries_in_class=entries_ok,
+        entries_in_class=all(verdicts.values()),
         diagonal_flags=flags,
     )
 
@@ -416,15 +414,17 @@ def homotopy_table_from_json(data: object) -> HomotopyTable:
     pi = data.get("pi")
     if not isinstance(pi, dict):
         raise ValueError('"pi" must map degrees to group strings')
-    groups = {}
+    groups, parsed = {}, {}  # parsed: each distinct group text, read once
     for key, text in pi.items():
         q = canonical_int(key, "table degree")
         if not isinstance(text, str):
             raise ValueError(f"group for q = {q} must be a string")
-        try:
-            groups[q] = parse_group(text)
-        except GroupParseError as exc:
-            raise ValueError(f"q = {q}: {exc}") from None
+        if text not in parsed:
+            try:
+                parsed[text] = parse_group(text)
+            except GroupParseError as exc:
+                raise ValueError(f"q = {q}: {exc}") from None
+        groups[q] = parsed[text]
     return HomotopyTable(variant, groups, abelian_assumption=abelian)
 
 

@@ -6,8 +6,9 @@ used to check.  The exceptions are the per-entry reference Hermite pass
 and the Smith form built on it, the matrix adapter of the library's Hermite
 pass, the unmemoized Hom/Ext cohomology, the degree-window sum for shaped
 homology, the unreduced graded homology,
-the Hom complex whose homology is shaped homology, and the smash product
-with its Kunneth formula, which reduce through the library on purpose.
+the Hom complex whose homology is shaped homology, the smash product
+with its Kunneth formula and the full draw loop of random complexes, which
+reduce through the library on purpose.
 """
 
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 from ahom.abelian import (FgAbGroup, IntMatrix, PrimeSet, SmithDecomposition, cokernel,
-                          column_echelon, direct_sum, ext, hom)
+                          column_echelon, direct_sum, ext, hom, kernel_basis)
 from ahom.chains import ChainComplex, cohomology_uct, homology
 from ahom.federer import TABLE_START, HomotopyTable
 
@@ -289,6 +290,42 @@ def complex_to_json(c: ChainComplex) -> dict:
         "boundaries": {str(n): [list(row) for row in c.boundaries[n].entries]
                        for n in sorted(c.boundaries)},
     }
+
+
+def reference_random_complex(rng, max_top: int = 5, max_rank: int = 5,
+                             entry_bound: int = 6, name: str = "random") -> ChainComplex:
+    """corpus.random_complex with its draw loop written out in full: this one
+    also takes the kernel of the top boundary, which bounds no further draw,
+    so the two must return equal complexes and leave rng in the same state."""
+    for _ in range(500):
+        top = rng.randint(0, max_top)
+        ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
+        if rng.random() < 0.7 and ranks:
+            ranks[0] = 0
+        boundaries = {}
+        kernel = IntMatrix.identity(ranks[0] if ranks else 0)
+        overflow = False
+        for n in range(1, top + 1):
+            cols = ranks[n]
+            if cols == 0:
+                kernel = IntMatrix.identity(0)
+                continue
+            mixing = IntMatrix.from_rows(
+                [[rng.randint(-2, 2) if rng.random() < 0.5 else 0
+                  for _ in range(cols)]
+                 for _ in range(kernel.cols)],
+                cols=cols)
+            bnd = kernel @ mixing
+            if bnd.max_abs() > entry_bound:
+                overflow = True
+                break
+            if not bnd.is_zero():
+                boundaries[n] = bnd
+            kernel = kernel_basis(bnd)
+        if overflow:
+            continue
+        return ChainComplex(name, {n: r for n, r in enumerate(ranks)}, boundaries)
+    raise RuntimeError("could not draw a complex within the entry bound")
 
 
 def constant_table(variant: str, group: FgAbGroup, q_max: int,

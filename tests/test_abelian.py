@@ -13,6 +13,7 @@ from ahom.abelian import (
     IntMatrix,
     PrimeSet,
     cokernel,
+    column_echelon,
     composite_is_zero,
     direct_sum,
     exponent,
@@ -383,6 +384,18 @@ class TestCokernel:
         for r, c in [(0, 0), (0, 4), (4, 0)]:
             assert cokernel(IntMatrix.zeros(r, c)) == FgAbGroup.free(r)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from([1, 10, 2**40]))
+    def test_hermite_pivots_count_the_rank(self, seed, max_dim, bound):
+        # cohomology_direct reads a coboundary's rank off one Hermite pass
+        m = random_matrix(random.Random(seed), max_dim=max_dim, bound=bound)
+        assert len(column_echelon(list(m.transpose().entries))) == m.rows - cokernel(m).free_rank
+
+    @pytest.mark.parametrize("shape", EMPTY_SHAPES)
+    def test_hermite_pivots_count_the_rank_on_empty_shapes(self, shape):
+        m = IntMatrix.zeros(*shape)
+        assert len(column_echelon(list(m.transpose().entries))) == m.rows - cokernel(m).free_rank
+
 
 class TestFgAbGroup:
     def test_canonical_validation(self):
@@ -392,6 +405,15 @@ class TestFgAbGroup:
             FgAbGroup(0, (1,))
         with pytest.raises(ValueError):
             FgAbGroup(-1, ())
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        # kept from construction; equality and repr still read the fields alone
+        for g in (TRIVIAL, Z, FgAbGroup.of(2, [2, 6]), FgAbGroup.cyclic(2**70)):
+            twin = FgAbGroup(g.free_rank, tuple(g.invariant_factors))
+            assert hash(g) == hash(twin) == hash((g.free_rank, g.invariant_factors))
+            assert g == twin and repr(g) == repr(twin)
+        assert repr(FgAbGroup.of(1, [2])) == "FgAbGroup(free_rank=1, invariant_factors=(2,))"
+        assert len({FgAbGroup.of(0, [2, 3]), FgAbGroup.cyclic(6), FgAbGroup(0, (6,))}) == 1
 
     def test_of_canonicalizes(self):
         assert FgAbGroup.of(0, [2, 3]) == FgAbGroup.cyclic(6)

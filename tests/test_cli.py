@@ -132,15 +132,16 @@ class TestVerbs:
 
     def test_axioms_assemble_each_cohomology_group_once(self, capsys, monkeypatch):
         # H^k(rp:64; g) for k = 0..64 and two groups g, Z/2 for x and its
-        # suspension and Z/2+Z/2 for the wedge x v x: at most 130 Hom groups
+        # suspension and Z/2+Z/2 for the wedge x v x: at most 130 Hom groups,
+        # each assembled from one hom_orders call
         from ahom import chains
         calls = []
 
-        def counted(*args, _fn=chains.hom):
+        def counted(*args, _fn=chains.hom_orders):
             calls.append(args)
             return _fn(*args)
 
-        monkeypatch.setattr(chains, "hom", counted)
+        monkeypatch.setattr(chains, "hom_orders", counted)
         code, out, _ = run(capsys, "axioms", "--A", "rp:64", "--X", "rp:64")
         assert code == 0 and "FAILS" not in out
         assert len(calls) <= 130

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahom import chains, federer
-from ahom.abelian import FgAbGroup, PrimeSet, hom
+from ahom.abelian import FgAbGroup, PrimeSet, hom_orders, in_class
 from ahom.chains import cohomology_direct, cohomology_uct, homology
 from ahom.corpus import connected_complex, random_complex, random_group, random_table
 from ahom.federer import (
@@ -76,6 +76,23 @@ class TestHomotopyTable:
             homotopy_table_from_json(
                 {"variant": "absolute", "abelian": True, "pi": {"1": "Q"}})
 
+    def test_json_error_names_the_first_bad_degree(self):
+        # each distinct text is parsed once; a repeated bad text is still
+        # reported at the degree where the file first writes it
+        pi = {"1": "Z", "4": "Z/2+Q", "2": "Z/2", "3": "Z/2+Q", "5": "Z/1"}
+        with pytest.raises(ValueError, match=r"^q = 4: unrecognized summand 'Q'$"):
+            homotopy_table_from_json({"variant": "absolute", "abelian": True, "pi": pi})
+        del pi["4"], pi["3"]
+        with pytest.raises(ValueError, match=r"^q = 5: bad cyclic factor 'Z/1'$"):
+            homotopy_table_from_json({"variant": "absolute", "abelian": True, "pi": pi})
+
+    def test_json_repeated_texts_read_alike(self):
+        texts = ["Z/2+Z/4", "Z", "Z/4 + Z/2", "0", "Z/2+Z/4"]
+        t = homotopy_table_from_json({"variant": "absolute", "abelian": True,
+                                      "pi": {str(q): x for q, x in enumerate(texts, 1)}})
+        assert t.entries == {1: FgAbGroup.of(0, [2, 4]), 2: Z, 3: FgAbGroup.of(0, [2, 4]),
+                             4: TRIVIAL, 5: FgAbGroup.of(0, [2, 4])}
+
 
 class TestPageAssembly:
     @settings(max_examples=80, deadline=None)
@@ -94,9 +111,11 @@ class TestPageAssembly:
             mp.setattr(federer, "cohomology_uct", unmemoized_uct)
             unshared = assemble(a, table)
         assert "_cohomology" not in vars(a)
+        # cohomology_uct assembles a group by one FgAbGroup.of over the Hom
+        # and Ext orders, so one hom_orders call is one assembly
         homs = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chains, "hom", lambda h, g: homs.append(g) or hom(h, g))
+            mp.setattr(chains, "hom_orders", lambda h, g: homs.append(g) or hom_orders(h, g))
             shared = assemble(a, table)
         assert shared == unshared
         asked = {(-p, table.entries[q]) for p, q in shared.entries
@@ -347,6 +366,22 @@ class TestTorsionClass:
         assert not report.hypothesis_holds
         assert report.hypothesis_failures == (3,)
         assert not any(report.diagonal_flags.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([(2,), (3,), (2, 3), (2, 5)]))
+    def test_matches_a_cell_by_cell_walk(self, seed, primes):
+        # the report decides each distinct group once; walking every cell
+        # must give the same flags
+        rng = random.Random(seed)
+        a = connected_complex(rng, max_top=3, max_rank=3)
+        table, p = random_table(rng, q_max=rng.randint(1, 9), max_order=12), PrimeSet.of(*primes)
+        report = torsion_class_check(a, table, p)
+        page = federer_e2(a, table)
+        hypothesis = all(in_class(homology(a, j), p) for j in range(1, a.top_degree + 1))
+        assert report.entries_in_class == all(in_class(g, p) for g in page.entries.values())
+        assert report.diagonal_flags == {
+            n: hypothesis and all(in_class(page.entries[c], p) for c in page.diagonal(n))
+            for n in range(1, table.q_max - a.top_degree + 1)}
 
     def test_moore_six_needs_both_primes(self):
         a = moore(FgAbGroup.cyclic(6), 2)
