@@ -15,7 +15,8 @@ On top of those sit the column Hermite form and the lattice utilities built
 on it (kernels, exact linear solving), the Smith normal form
 (:func:`snf`, certified or transform-free for :func:`cokernel`), and
 the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
-every homology computation downstream.
+every homology computation downstream.  :func:`cokernel`, and integral
+homology in ``chains``, first split off the divisor pivots (:func:`split_pivots`).
 
 :class:`IntMatrix` is the type at the boundary; the Hermite and Smith passes
 run in place on lists of columns.  :func:`snf` calls :func:`column_echelon`
@@ -35,9 +36,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import add, and_, mod, mul, rshift
-from typing import Iterable, Sequence
+from itertools import chain, compress, count, repeat
+from operator import add, and_, itemgetter, mod, mul, rshift
+from typing import Iterable, Iterator, Sequence
 
 
 class GroupParseError(ValueError):
@@ -450,7 +451,7 @@ class FgAbGroup:
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
-        return cls(0, ())
+        return _TRIVIAL
 
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
@@ -521,6 +522,9 @@ class FgAbGroup:
         return " + ".join(parts)
 
 
+_TRIVIAL = FgAbGroup()  # what trivial() returns: a group is immutable, so one serves
+
+
 def parse_group(text: str) -> FgAbGroup:
     """Parse the canonical rendering grammar back into a group.
 
@@ -558,12 +562,60 @@ def _summand_int(token: str, what: str, least: int) -> int:
 # Group-level operations
 # ---------------------------------------------------------------------------
 
+def split_pivots(rows: list[list[int]]) -> Iterator[tuple[int, int, int]]:
+    """Split every divisor pivot p = rows[t][s], which divides its row and its
+    column, off the matrix with rows `rows`, in place, yielding (t, s, p) after
+    each split; the caller may act on it but must leave `rows` alone.  After a
+    unimodular change of basis the matrix is p + the Schur complement of p, which
+    replaces the rows (row t and column s go, row k -= rows[k][s]/p * row t), so
+    the cokernel gains Z/|p|; entries left are minors of the input over the
+    pivots' determinant.  The search goes on from the row of the last pivot
+    until a full pass finds none."""
+    t = misses = 0
+    while misses < len(rows):
+        t %= len(rows)
+        s = _pivot(rows[t], rows)
+        if s is None:
+            t, misses = t + 1, misses + 1
+            continue
+        top = rows.pop(t)
+        p = top.pop(s)
+        support = list(compress(count(), top))
+        for row in rows:
+            f = row.pop(s) // p
+            if f:
+                for j in support:
+                    row[j] -= f * top[j]
+        misses = 0
+        yield t, s, p
+
+
+def _pivot(row: list[int], rows: list[list[int]]) -> int | None:
+    """A column s where `row` holds a divisor pivot of `rows`, or None: the
+    pivot is +-gcd(row), and unless a unit it must divide its column."""
+    p = math.gcd(*row)
+    if not p:
+        return None
+    if p == 1:
+        return row.index(1) if 1 in row else row.index(-1) if -1 in row else None
+    return next((s for s in compress(count(), map(p.__eq__, map(abs, row)))
+                 if not any(map(mod, map(itemgetter(s), rows), repeat(p)))), None)
+
+
 def cokernel(m: IntMatrix) -> FgAbGroup:
-    """Z^rows / (column span of m), in canonical form: one :func:`snf`
-    without a certificate, so no transform work is done.  Its diagonal is
-    already a divisor chain, so no :meth:`FgAbGroup.of` pass follows."""
-    dec = snf(m, certificate=False)
-    return FgAbGroup(m.rows - dec.rank, tuple(d for d in dec.diagonal if d > 1))
+    """Z^rows / (column span of m), in canonical form: each divisor pivot
+    (:func:`split_pivots`) adds Z/|p|, and a nonzero residual takes one
+    :func:`snf` without a certificate.  When nothing was split that is m itself,
+    whose diagonal is a divisor chain already, so no :meth:`FgAbGroup.of` follows."""
+    rows = [list(row) for row in m.entries]
+    orders = [abs(p) for _, _, p in split_pivots(rows)]
+    if not any(map(any, rows)):
+        return FgAbGroup.of(len(rows), orders)
+    dec = snf(IntMatrix(len(rows), m.cols - len(orders), tuple(map(tuple, rows)))
+              if orders else m, certificate=False)
+    torsion = tuple(d for d in dec.diagonal if d > 1)
+    return (FgAbGroup.of(len(rows) - dec.rank, orders + list(torsion)) if orders
+            else FgAbGroup(len(rows) - dec.rank, torsion))
 
 
 def hom(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:

@@ -8,9 +8,9 @@ simply absent and mean rank 0.
 
 Integral homology first splits off each cell pair joined by a divisor
 pivot, an entry p that divides its row and column: the pair is a summand
-Z -p-> Z and adds Z/|p|.  Then it takes one invariants-only Smith
-reduction per boundary matrix left: H_n is coker(d_(n+1)) less rank(d_n)
-free summands.  A complex reduces once, on first use, and keeps the
+Z -p-> Z and adds Z/|p|.  Then it takes one invariants-only
+:func:`~ahom.abelian.cokernel` per boundary matrix left: H_n is coker(d_(n+1))
+less rank(d_n) free summands.  A complex reduces once, on first use, and keeps the
 nonzero groups as the dict :attr:`ChainComplex.graded_homology`;
 :func:`homology` and everything built on it read that value, and shaped
 homology sums over its degrees only.  Cohomology with coefficients in a finitely
@@ -20,26 +20,23 @@ keeps each H^n(c; g) on the complex by (n, g), so a page, shaped homology and
 the axiom checks share one assembly per group without knowing of it, while
 :func:`cohomology_direct` reduces the actual cochain complex and never
 looks at the integral answer.  It takes the coefficients one cyclic summand
-at a time, with one invariants-only Smith reduction each.  For Z/d it uses
-the mapping cone of multiplication by d on the integral cochains, which is
-quasi-isomorphic to the mod-d cochains: H^n(c; Z/d) is finite, so it is the
-whole torsion of one cokernel.  Row signs do not change that cokernel and
-zero rows or columns change only its free part, so absent boundaries build
-nothing.
+at a time, with one cokernel each.  For Z/d it uses the mapping cone of
+multiplication by d on the integral cochains, which is quasi-isomorphic to
+the mod-d cochains: H^n(c; Z/d) is finite, so it is the whole torsion of one
+cokernel, mostly split off as divisor pivots.  Row signs do not change that
+cokernel and zero rows or columns only its free part, so absent boundaries build nothing.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import itemgetter, mod
+from itertools import chain
 from typing import Sequence
 
 from .abelian import (FgAbGroup, IntMatrix, canonical_int, cokernel, column_echelon,
-                      composite_is_zero, ext_orders, hom_orders)
+                      composite_is_zero, ext_orders, hom_orders, split_pivots)
 # not called here: the benchmark's tracer rebinds chains.kernel_basis and its tests check that
 from .abelian import kernel_basis  # noqa: F401
 
@@ -176,33 +173,16 @@ def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
     """Nonzero ranks and boundaries of a complex with no divisor pivot left,
     and the orders >= 2 of the cyclic summands split off, by degree.
 
-    A divisor pivot p = d_n[t][s] divides all of row t and column s, so cells
-    s and t span a summand Z -p-> Z after a unimodular change of basis: d_n
-    becomes the Schur complement of p (row k -= d_n[k][s]/p * row t), d_(n+1)
-    loses row s and d_(n-1) column t (d*d = 0 over Z makes both zero in the
-    new bases), and H_(n-1) gains Z/|p|.  Entries left are minors of the input
-    over the pivots' determinant, within the input's Hadamard bound.  The
-    search goes on from the row of the last pivot until a full pass finds none.
+    A divisor pivot p = d_n[t][s] (:func:`~ahom.abelian.split_pivots`) makes
+    cells s and t span a summand Z -p-> Z, which adds Z/|p| to H_(n-1): d_n
+    becomes the Schur complement of p, and d_(n+1) loses row s and d_(n-1)
+    column t, which d*d = 0 over Z makes zero in the new bases.
     """
     ranks = dict(ranks)
     torsion: dict[int, list[int]] = {}
     d = {n: [list(row) for row in m.entries] for n, m in boundaries.items()}
     for n, rows in sorted(d.items()):
-        t = misses = 0
-        while misses < len(rows):
-            t %= len(rows)
-            s = _pivot(rows[t], rows)
-            if s is None:
-                t, misses = t + 1, misses + 1
-                continue
-            top = rows.pop(t)
-            p = top.pop(s)
-            support = list(compress(count(), top))
-            for row in rows:
-                f = row.pop(s) // p
-                if f:
-                    for j in support:
-                        row[j] -= f * top[j]
+        for t, s, p in split_pivots(rows):
             for row in d.get(n - 1, ()):
                 del row[t]
             if n + 1 in d:
@@ -211,22 +191,9 @@ def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
                 torsion.setdefault(n - 1, []).append(abs(p))
             ranks[n] -= 1
             ranks[n - 1] -= 1
-            misses = 0
     ranks = {n: r for n, r in ranks.items() if r}
     return ranks, {n: IntMatrix(ranks[n - 1], ranks[n], tuple(map(tuple, rows)))
                    for n, rows in d.items() if any(map(any, rows))}, torsion
-
-
-def _pivot(row: list[int], rows: list[list[int]]) -> int | None:
-    """A column s where `row` holds a divisor pivot of `rows`, or None: the
-    pivot is +-gcd(row), and unless a unit it must divide its column."""
-    p = math.gcd(*row)
-    if not p:
-        return None
-    if p == 1:
-        return row.index(1) if 1 in row else row.index(-1) if -1 in row else None
-    return next((s for s in compress(count(), map(p.__eq__, map(abs, row)))
-                 if not any(map(mod, map(itemgetter(s), rows), repeat(p)))), None)
 
 
 TRIVIAL_COMPLEX = ChainComplex("pt", {}, {})
@@ -300,7 +267,7 @@ def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
         orders = list(coker.invariant_factors) * g.free_rank
     for d in g.invariant_factors:
         cone = tuple(row + zero for row in beta) + tuple(
-            e + a for e, a in zip(IntMatrix.diagonal([d] * r).entries, alpha))
+            (0,) * i + (d,) + (0,) * (r - i - 1) + a for i, a in enumerate(alpha))
         orders += cokernel(IntMatrix(len(cone), r + len(zero), cone)).invariant_factors
     return FgAbGroup.of(rank, orders)
 

@@ -26,7 +26,7 @@ from ahom.abelian import (
     snf,
     solve,
 )
-from ahom.corpus import random_matrix
+from ahom.corpus import random_complex, random_matrix
 from helpers import (
     brute_ext_order,
     brute_hom_order,
@@ -339,6 +339,53 @@ class TestLatticeUtilities:
             invert_unimodular(IntMatrix.diagonal([2, 2]))
 
 
+def reference_cokernel(m: IntMatrix) -> FgAbGroup:
+    """The group read off the reference Smith form, with no pivot split off."""
+    dec = reference_snf(m, certificate=False)
+    return FgAbGroup.of(m.rows - dec.rank, dec.diagonal[:dec.rank])
+
+
+def planted_matrix(rng: random.Random, max_dim: int) -> IntMatrix:
+    """A random block beside planted +-1 and divisor entries, hidden by a
+    few unimodular row and column operations and a shuffle."""
+    rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+    a = [[0] * cols for _ in range(rows)]
+    k = rng.randint(0, min(rows, cols))
+    for i in range(k):
+        a[i][i] = rng.choice([1, -1, 2, -3, 4, 6, 12])
+    for i in range(k, rows):
+        for j in range(k, cols):
+            a[i][j] = rng.randint(-6, 6) if rng.random() < 0.5 else 0
+    for _ in range(rng.randint(0, 3)):
+        if rows > 1:  # row i += c * row j
+            i, j = rng.sample(range(rows), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        if cols > 1:  # column i += c * column j
+            i, j = rng.sample(range(cols), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            for row in a:
+                row[i] += c * row[j]
+    return shuffled(rng, IntMatrix.from_rows(a, cols=cols))
+
+
+def shuffled(rng: random.Random, m: IntMatrix) -> IntMatrix:
+    """m with its rows and its columns in random order."""
+    rows, cols = rng.sample(range(m.rows), m.rows), rng.sample(range(m.cols), m.cols)
+    return IntMatrix.from_rows([[m.entries[i][j] for j in cols] for i in rows], cols=m.cols)
+
+
+def cone_matrix(c, n: int, d: int) -> IntMatrix:
+    """[[beta, 0], [d*I, alpha]] with alpha = d_n^T and beta = d_(n+1)^T:
+    the matrix of the mapping cone cohomology_direct reduces for Z/d."""
+    r = c.rank(n)
+    alpha, beta = c.boundary(n).transpose(), c.boundary(n + 1).transpose()
+    return IntMatrix.from_rows(
+        [row + (0,) * alpha.cols for row in beta.entries]
+        + [e + a for e, a in zip(IntMatrix.diagonal([d] * r).entries, alpha.entries)],
+        cols=r + alpha.cols)
+
+
 class TestCokernel:
     def test_single_relation(self):
         assert cokernel(IntMatrix.from_rows([[2]])) == FgAbGroup.cyclic(2)
@@ -381,8 +428,38 @@ class TestCokernel:
         assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (m.rows, 0, 0, m.cols)
 
     def test_empty_shapes(self):
-        for r, c in [(0, 0), (0, 4), (4, 0)]:
-            assert cokernel(IntMatrix.zeros(r, c)) == FgAbGroup.free(r)
+        for r, c in [(0, 0), (0, 4), (4, 0), (4, 3)]:
+            m = IntMatrix.zeros(r, c)
+            assert cokernel(m) == FgAbGroup.free(r) == reference_cokernel(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from([1, 10, 2**40]))
+    def test_matches_reference_on_random_matrices(self, seed, max_dim, bound):
+        m = random_matrix(random.Random(seed), max_dim=max_dim, bound=bound)
+        assert cokernel(m) == reference_cokernel(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 9))
+    def test_matches_reference_on_planted_pivots(self, seed, max_dim):
+        m = planted_matrix(random.Random(seed), max_dim)
+        assert cokernel(m) == reference_cokernel(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([2, 3, 4, 6, 12]))
+    def test_matches_reference_on_cone_matrices(self, seed, d):
+        rng = random.Random(seed)
+        c = random_complex(rng)
+        for n in range(c.top_degree + 1):
+            m = cone_matrix(c, n, d)
+            assert cokernel(m) == reference_cokernel(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 9), st.booleans())
+    def test_unchanged_by_permuting_rows_and_columns(self, seed, max_dim, planted):
+        # the pivots split off, and their order, depend on the positions
+        rng = random.Random(seed)
+        m = planted_matrix(rng, max_dim) if planted else random_matrix(rng, max_dim=max_dim)
+        assert cokernel(shuffled(rng, m)) == cokernel(m)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 9), st.sampled_from([1, 10, 2**40]))
@@ -405,6 +482,12 @@ class TestFgAbGroup:
             FgAbGroup(0, (1,))
         with pytest.raises(ValueError):
             FgAbGroup(-1, ())
+
+    def test_trivial_is_one_shared_instance(self):
+        assert FgAbGroup.trivial() is FgAbGroup.trivial() is TRIVIAL
+        assert TRIVIAL == FgAbGroup() == FgAbGroup.of(0, [1]) == FgAbGroup.cyclic(1)
+        assert hash(TRIVIAL) == hash(FgAbGroup()) == hash((0, ()))
+        assert TRIVIAL.is_trivial() and str(TRIVIAL) == "0"
 
     def test_hash_is_the_hash_of_the_fields(self):
         # kept from construction; equality and repr still read the fields alone

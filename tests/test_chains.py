@@ -301,7 +301,7 @@ class TestUnitReduction:
             assert all(x * x <= bound for row in m.entries for x in row)
             # the search stops only when no row holds a divisor pivot
             rows = [list(row) for row in m.entries]
-            assert all(chains._pivot(row, rows) is None for row in rows)
+            assert all(abelian._pivot(row, rows) is None for row in rows)
 
     def test_divisor_pivot(self):
         # 2 divides its row and column and leaves Z/2; in what is left no
