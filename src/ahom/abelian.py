@@ -15,8 +15,9 @@ On top of those sit the column Hermite form and the lattice utilities built
 on it (kernels, exact linear solving), the Smith normal form
 (:func:`snf`, certified or transform-free for :func:`cokernel`), and
 the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
-every homology computation downstream.  :func:`cokernel`, and integral
-homology in ``chains``, first split off the divisor pivots (:func:`split_pivots`).
+every homology computation downstream.  :func:`split_pivots`, the one search
+for divisor pivots, splits them off a whole chain complex at once; then
+:func:`residual_cokernel` ends both :func:`cokernel` and homology in ``chains``.
 
 :class:`IntMatrix` is the type at the boundary; the Hermite and Smith passes
 run in place on lists of columns.  :func:`snf` calls :func:`column_echelon`
@@ -38,11 +39,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import add, and_, itemgetter, mod, mul, rshift
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GroupParseError(ValueError):
     """Raised when a group string does not follow the rendering grammar."""
+
+
+# The most cyclic summands a group text, and so a Moore recipe's degree, or a
+# complex file's degree may hold: "Z^N" would otherwise demand N of them.
+MAX_SUMMANDS = 100_000
 
 
 def canonical_int(text: str, what: str, error: type[ValueError] = ValueError) -> int:
@@ -547,7 +553,11 @@ def parse_group(text: str) -> FgAbGroup:
             orders.append(_summand_int(token, "cyclic factor", 2))
         else:
             raise GroupParseError(f"unrecognized summand {token!r}")
-    return FgAbGroup.of(rank, orders)
+    g = FgAbGroup.of(rank, orders)
+    if g.free_rank + len(g.invariant_factors) > MAX_SUMMANDS:
+        raise GroupParseError(f"{g.free_rank + len(g.invariant_factors)} summands "
+                              f"are past the limit of {MAX_SUMMANDS}")
+    return g
 
 
 def _summand_int(token: str, what: str, least: int) -> int:
@@ -562,32 +572,41 @@ def _summand_int(token: str, what: str, least: int) -> int:
 # Group-level operations
 # ---------------------------------------------------------------------------
 
-def split_pivots(rows: list[list[int]]) -> Iterator[tuple[int, int, int]]:
-    """Split every divisor pivot p = rows[t][s], which divides its row and its
-    column, off the matrix with rows `rows`, in place, yielding (t, s, p) after
-    each split; the caller may act on it but must leave `rows` alone.  After a
-    unimodular change of basis the matrix is p + the Schur complement of p, which
-    replaces the rows (row t and column s go, row k -= rows[k][s]/p * row t), so
-    the cokernel gains Z/|p|; entries left are minors of the input over the
-    pivots' determinant.  The search goes on from the row of the last pivot
-    until a full pass finds none."""
-    t = misses = 0
-    while misses < len(rows):
-        t %= len(rows)
-        s = _pivot(rows[t], rows)
-        if s is None:
-            t, misses = t + 1, misses + 1
-            continue
-        top = rows.pop(t)
-        p = top.pop(s)
-        support = list(compress(count(), top))
-        for row in rows:
-            f = row.pop(s) // p
-            if f:
-                for j in support:
-                    row[j] -= f * top[j]
-        misses = 0
-        yield t, s, p
+def split_pivots(d: dict[int, list[list[int]]]) -> dict[int, list[int]]:
+    """Split every divisor pivot p = d[n][t][s], which divides its row and its
+    column, off the matrices `d` (lists of rows by degree n, with d[n-1] @ d[n]
+    = 0; one matrix is a one-entry dict) in place, and return the |p| by n.
+    After a unimodular change of basis d[n] is p + the Schur complement of p,
+    which replaces its rows (row t and column s go, row k -= d[n][k][s]/p *
+    row t), so coker(d[n]) gains Z/|p|; d[n+1] loses row s and d[n-1] column
+    t, which d*d = 0 makes zero in the new bases.  Degrees go up, and in each
+    the search goes on from the row of the last pivot until a full pass finds
+    none; entries left are minors of the input over the pivots' determinant."""
+    split = {}
+    for n, rows in sorted(d.items()):
+        orders = split[n] = []
+        t = misses = 0
+        while misses < len(rows):
+            t %= len(rows)
+            s = _pivot(rows[t], rows)
+            if s is None:
+                t, misses = t + 1, misses + 1
+                continue
+            top = rows.pop(t)
+            p = top.pop(s)
+            support = list(compress(count(), top))
+            for row in rows:
+                f = row.pop(s) // p
+                if f:
+                    for j in support:
+                        row[j] -= f * top[j]
+            for row in d.get(n - 1, ()):
+                del row[t]
+            if n + 1 in d:
+                del d[n + 1][s]
+            orders.append(abs(p))
+            misses = 0
+    return split
 
 
 def _pivot(row: list[int], rows: list[list[int]]) -> int | None:
@@ -602,20 +621,24 @@ def _pivot(row: list[int], rows: list[list[int]]) -> int | None:
                  if not any(map(mod, map(itemgetter(s), rows), repeat(p)))), None)
 
 
-def cokernel(m: IntMatrix) -> FgAbGroup:
-    """Z^rows / (column span of m), in canonical form: each divisor pivot
-    (:func:`split_pivots`) adds Z/|p|, and a nonzero residual takes one
-    :func:`snf` without a certificate.  When nothing was split that is m itself,
-    whose diagonal is a divisor chain already, so no :meth:`FgAbGroup.of` follows."""
-    rows = [list(row) for row in m.entries]
-    orders = [abs(p) for _, _, p in split_pivots(rows)]
+def residual_cokernel(rows: list[list[int]], orders: list[int],
+                      m: IntMatrix | None = None) -> FgAbGroup:
+    """The cokernel of a matrix, from the |p| of the divisor pivots split off
+    it (:func:`split_pivots`) and the rows left, which take one :func:`snf`
+    without a certificate unless zero; `m` is those rows as an IntMatrix."""
     if not any(map(any, rows)):
         return FgAbGroup.of(len(rows), orders)
-    dec = snf(IntMatrix(len(rows), m.cols - len(orders), tuple(map(tuple, rows)))
-              if orders else m, certificate=False)
-    torsion = tuple(d for d in dec.diagonal if d > 1)
-    return (FgAbGroup.of(len(rows) - dec.rank, orders + list(torsion)) if orders
-            else FgAbGroup(len(rows) - dec.rank, torsion))
+    dec = snf(m or IntMatrix(len(rows), len(rows[0]), tuple(map(tuple, rows))), False)
+    return FgAbGroup.of(len(rows) - dec.rank, [*orders, *dec.diagonal[:dec.rank]])
+
+
+def cokernel(m: IntMatrix) -> FgAbGroup:
+    """Z^rows / (column span of m), in canonical form: the divisor pivots
+    split off (:func:`split_pivots`), then :func:`residual_cokernel`; when
+    nothing was split, m itself goes to :func:`snf`."""
+    rows = [list(row) for row in m.entries]
+    orders = split_pivots({0: rows})[0]
+    return residual_cokernel(rows, orders, None if orders else m)
 
 
 def hom(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:

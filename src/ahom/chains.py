@@ -6,11 +6,12 @@ entry at degree 0) together with integer boundary matrices whose entries are
 the degrees of the attaching-map composites.  Degrees without cells are
 simply absent and mean rank 0.
 
-Integral homology first splits off each cell pair joined by a divisor
-pivot, an entry p that divides its row and column: the pair is a summand
-Z -p-> Z and adds Z/|p|.  Then it takes one invariants-only
-:func:`~ahom.abelian.cokernel` per boundary matrix left: H_n is coker(d_(n+1))
-less rank(d_n) free summands.  A complex reduces once, on first use, and keeps the
+Integral homology first splits off every cell pair joined by a divisor
+pivot, an entry p that divides its row and column, in one pass over all
+boundaries (:func:`~ahom.abelian.split_pivots`): the pair is a summand
+Z -p-> Z and adds Z/|p|.  Then one :func:`~ahom.abelian.residual_cokernel`
+per boundary gives H_n as coker(d_(n+1)) less rank(d_n) free summands.
+A complex reduces once, on first use, and keeps the
 nonzero groups as the dict :attr:`ChainComplex.graded_homology`;
 :func:`homology` and everything built on it read that value, and shaped
 homology sums over its degrees only.  Cohomology with coefficients in a finitely
@@ -35,8 +36,9 @@ from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
-from .abelian import (FgAbGroup, IntMatrix, canonical_int, cokernel, column_echelon,
-                      composite_is_zero, ext_orders, hom_orders, split_pivots)
+from .abelian import (MAX_SUMMANDS, FgAbGroup, IntMatrix, canonical_int, cokernel,
+                      column_echelon, composite_is_zero, ext_orders, hom_orders,
+                      residual_cokernel, split_pivots)
 # not called here: the benchmark's tracer rebinds chains.kernel_basis and its tests check that
 from .abelian import kernel_basis  # noqa: F401
 
@@ -137,63 +139,35 @@ class ChainComplex:
 
     @cached_property
     def graded_homology(self) -> dict[int, FgAbGroup]:
-        """The nonzero reduced homology groups by degree, from one reduction
-        of each boundary left once the cell pairs joined by a divisor pivot
-        are split off, plus the Z/|p| of those pairs; a degree absent from
+        """The nonzero reduced homology groups by degree; a degree absent from
         the dict has trivial homology.
 
-        Since im(d_n) is free, ker(d_n) is a direct summand of C_n holding
-        im(d_(n+1)), so coker(d_(n+1)) = H_n + Z^(rank d_n): H_n keeps the
-        torsion of that cokernel and rank d_n fewer free summands, where
-        rank d_n = c_(n-1) - free rank of coker(d_n).  Computed on first
-        use and kept on the instance; it is derived from the fields, so
-        equality and the file form ignore it.
+        One :func:`~ahom.abelian.split_pivots` pass over all boundaries leaves
+        a complex whose homology lacks only a Z/|p| in degree n-1 per pivot p
+        of d_n, which :func:`~ahom.abelian.residual_cokernel` adds back to
+        coker(d_n).  Since im(d_n) is free, ker(d_n) is a direct summand of
+        C_n holding im(d_(n+1)), so coker(d_(n+1)) = H_n + Z^(rank d_n), where
+        rank d_n = c_(n-1) - free rank of coker(d_n), all on what is left.
+        Computed on first use and kept on the instance; it is derived from
+        the fields, so equality and the file form ignore it.
         """
-        ranks, boundaries, torsion = _unit_reduced(self.ranks, self.boundaries)
-        cokernels = {n: cokernel(boundaries[n + 1]) if n + 1 in boundaries
+        d = {n: [list(row) for row in m.entries] for n, m in self.boundaries.items()}
+        split = split_pivots(d)
+        ranks = {n: r - len(split.get(n, ())) - len(split.get(n + 1, ()))
+                 for n, r in self.ranks.items()}
+        cokernels = {n: residual_cokernel(d[n + 1], split[n + 1]) if n + 1 in d
                      else FgAbGroup.free(r) for n, r in ranks.items()}
         none = FgAbGroup.trivial()
-        groups = {}
-        for n in {*cokernels, *torsion}:
-            g = cokernels.get(n, none)
-            free = g.free_rank - ranks.get(n - 1, 0) + cokernels.get(n - 1, none).free_rank
-            groups[n] = (FgAbGroup.of(free, g.invariant_factors + tuple(torsion[n]))
-                         if n in torsion else FgAbGroup(free, g.invariant_factors))
-        return {n: h for n, h in groups.items() if not h.is_trivial()}
+        groups = ((n, FgAbGroup(g.free_rank - ranks.get(n - 1, 0)
+                                + cokernels.get(n - 1, none).free_rank, g.invariant_factors))
+                  for n, g in cokernels.items())
+        return {n: h for n, h in groups if not h.is_trivial()}
 
     @cached_property
     def _cohomology(self) -> dict[tuple[int, FgAbGroup], FgAbGroup]:
         """H^n(c; g) by (n, g), as :func:`cohomology_uct` is asked for it;
         ignored, like graded_homology, by equality, repr and the file form."""
         return {}
-
-
-def _unit_reduced(ranks: dict[int, int], boundaries: dict[int, IntMatrix]
-                  ) -> tuple[dict[int, int], dict[int, IntMatrix], dict[int, list[int]]]:
-    """Nonzero ranks and boundaries of a complex with no divisor pivot left,
-    and the orders >= 2 of the cyclic summands split off, by degree.
-
-    A divisor pivot p = d_n[t][s] (:func:`~ahom.abelian.split_pivots`) makes
-    cells s and t span a summand Z -p-> Z, which adds Z/|p| to H_(n-1): d_n
-    becomes the Schur complement of p, and d_(n+1) loses row s and d_(n-1)
-    column t, which d*d = 0 over Z makes zero in the new bases.
-    """
-    ranks = dict(ranks)
-    torsion: dict[int, list[int]] = {}
-    d = {n: [list(row) for row in m.entries] for n, m in boundaries.items()}
-    for n, rows in sorted(d.items()):
-        for t, s, p in split_pivots(rows):
-            for row in d.get(n - 1, ()):
-                del row[t]
-            if n + 1 in d:
-                del d[n + 1][s]
-            if abs(p) > 1:
-                torsion.setdefault(n - 1, []).append(abs(p))
-            ranks[n] -= 1
-            ranks[n - 1] -= 1
-    ranks = {n: r for n, r in ranks.items() if r}
-    return ranks, {n: IntMatrix(ranks[n - 1], ranks[n], tuple(map(tuple, rows)))
-                   for n, rows in d.items() if any(map(any, rows))}, torsion
 
 
 TRIVIAL_COMPLEX = ChainComplex("pt", {}, {})
@@ -334,6 +308,8 @@ def complex_from_json(data: object) -> ChainComplex:
         raise InvalidComplexError('"ranks" and "boundaries" must be objects')
     _json_ints(raw_ranks.values(), "ranks")
     ranks = {parse_degree(k, "degree", InvalidComplexError): v for k, v in raw_ranks.items()}
+    if max(ranks.values(), default=0) > MAX_SUMMANDS:
+        raise InvalidComplexError(f"a rank is past the limit of {MAX_SUMMANDS} cells in one degree")
     boundaries = {}
     for k, rows in raw_bnd.items():
         n = parse_degree(k, "degree", InvalidComplexError)

@@ -90,7 +90,7 @@ class HomotopyTable:
         if not self.entries:
             raise ValueError("homotopy table must not be empty")
         keys = sorted(self.entries)
-        if keys != list(range(self.q_min, keys[-1] + 1)):
+        if keys[0] != self.q_min or keys[-1] - keys[0] + 1 != len(keys):
             raise ValueError(
                 f"{self.variant} table must cover a contiguous range starting at {self.q_min}")
 

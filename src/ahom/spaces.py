@@ -25,7 +25,7 @@ def parse_recipe(text: str) -> partial:
 
     Every argument is checked here, without building anything or reading a
     file; no recipe may ask for a cell in a degree past
-    ``chains.MAX_DEGREE``.
+    ``chains.MAX_DEGREE``, or for more than ``abelian.MAX_SUMMANDS`` in one.
     """
     kind, sep, rest = text.partition(":")
     if not sep:

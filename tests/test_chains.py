@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahom import abelian, chains
-from ahom.abelian import FgAbGroup, IntMatrix, cokernel, direct_sum, kernel_basis, snf, solve
+from ahom.abelian import (FgAbGroup, IntMatrix, cokernel, composite_is_zero, direct_sum,
+                          kernel_basis, snf, solve)
 from ahom.chains import (
     ChainComplex,
     DSquaredError,
@@ -173,20 +174,23 @@ class TestGradedHomologyCache:
     def test_second_call_does_no_reduction(self, monkeypatch):
         calls = []
 
-        def counting(m):
+        def counting(m, certificate=True):
             calls.append(m)
-            return cokernel(m)
+            return snf(m, certificate)
 
-        monkeypatch.setattr(chains, "cokernel", counting)
+        monkeypatch.setattr(abelian, "snf", counting)
+        monkeypatch.setattr(abelian, "cokernel", None)  # homology never calls it
+        monkeypatch.setattr(chains, "cokernel", None)
         c, planted = residual_complex()
         assert homology(c, 1) == planted[1]
         first = len(calls)
         assert first > 0
-        # the first read reduces each boundary left by the divisor pivots
-        # exactly once, by value
-        residual = chains._unit_reduced(c.ranks, c.boundaries)[1]
+        # the first read reduces each nonzero boundary left by the divisor
+        # pivots exactly once, by value
+        residual = split_complex(c)[1]
         assert (sorted((m.rows, m.cols, m.entries) for m in calls)
-                == sorted((m.rows, m.cols, m.entries) for m in residual.values()))
+                == sorted((len(rows), len(rows[0]), tuple(map(tuple, rows)))
+                          for rows in residual.values() if any(map(any, rows))))
         assert homology(c, 1) == planted[1]
         assert homology(c, 2) == planted[2]
         assert cohomology_uct(c, 2, Z) == FgAbGroup(1, planted[1].invariant_factors)
@@ -255,6 +259,16 @@ def planted_pieces(rng, top, count, kinds=("unit", "unit", "torsion", "free"), m
             for kind in (rng.choice(kinds) for _ in range(count))]
 
 
+def split_complex(c: ChainComplex):
+    """The cell counts, boundary rows and split orders abelian.split_pivots
+    leaves of c, the counts derived as graded_homology derives them."""
+    d = {n: [list(row) for row in m.entries] for n, m in c.boundaries.items()}
+    split = abelian.split_pivots(d)
+    ranks = {n: r - len(split.get(n, ())) - len(split.get(n + 1, ()))
+             for n, r in c.ranks.items()}
+    return ranks, d, split
+
+
 def residual_complex():
     """A scrambled complex that the divisor pivots do not reduce away, and
     its planted homology: Z/2 + Z/2 + Z/3 + Z/3 + Z/9 in H_1, Z/4 + Z in H_2."""
@@ -293,23 +307,50 @@ class TestUnitReduction:
         rng = random.Random(seed)
         pieces = planted_pieces(rng, top, count, ("unit", "torsion", "torsion", "free"), 12)
         c, _ = scrambled_complex(rng, pieces, mixes=4)
-        ranks, residual, torsion = chains._unit_reduced(c.ranks, c.boundaries)
-        assert all(d >= 2 for orders in torsion.values() for d in orders)
-        for n, m in residual.items():
-            assert (m.rows, m.cols) == (ranks[n - 1], ranks[n])
+        ranks, residual, split = split_complex(c)
+        assert all(p >= 1 for orders in split.values() for p in orders)
+        for n, rows in residual.items():
+            if not any(map(any, rows)):
+                continue
+            assert (len(rows), len(rows[0])) == (ranks[n - 1], ranks[n])
             bound = hadamard_square(c.boundaries[n])
-            assert all(x * x <= bound for row in m.entries for x in row)
+            assert all(x * x <= bound for row in rows for x in row)
             # the search stops only when no row holds a divisor pivot
-            rows = [list(row) for row in m.entries]
             assert all(abelian._pivot(row, rows) is None for row in rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans(), st.integers(1, 4), st.integers(1, 14))
+    def test_coupled_split_leaves_a_complex(self, seed, scrambled, top, count):
+        # on mixed torsion or on a corpus complex, what the split leaves of
+        # every boundary is again a complex of the derived shapes, with
+        # entries within the input's Hadamard bound and no divisor pivot
+        rng = random.Random(seed)
+        if scrambled:
+            pieces = planted_pieces(rng, top, count, ("torsion", "torsion", "unit", "free"), 12)
+            c = scrambled_complex(rng, pieces)[0]
+        else:
+            c = random_complex(rng)
+        ranks, residual, split = split_complex(c)
+        assert sorted(split) == sorted(residual) == sorted(c.boundaries)
+        assert min(ranks.values(), default=0) >= 0
+        for n, rows in residual.items():
+            assert len(rows) == ranks[n - 1] and all(len(row) == ranks[n] for row in rows)
+            bound = hadamard_square(c.boundaries[n])
+            assert all(x * x <= bound for row in rows for x in row)
+            assert all(abelian._pivot(row, rows) is None for row in rows)
+        matrices = {n: IntMatrix(ranks[n - 1], ranks[n], tuple(map(tuple, rows)))
+                    for n, rows in residual.items()}
+        for n, m in matrices.items():
+            if n + 1 in matrices:
+                assert composite_is_zero(m, matrices[n + 1])
+        assert c.graded_homology == unreduced_graded_homology(c)
 
     def test_divisor_pivot(self):
         # 2 divides its row and column and leaves Z/2; in what is left no
         # entry divides its row, so Smith finds the Z/5
         c = ChainComplex("d", {1: 3, 2: 3},
                          {2: IntMatrix.from_rows([[2, 0, 0], [4, 2, 3], [0, 3, 2]])})
-        assert chains._unit_reduced(c.ranks, c.boundaries) == (
-            {1: 2, 2: 2}, {2: IntMatrix.from_rows([[2, 3], [3, 2]])}, {1: [2]})
+        assert split_complex(c) == ({1: 2, 2: 2}, {2: [[2, 3], [3, 2]]}, {2: [2]})
         assert c.graded_homology == {1: FgAbGroup.cyclic(10)} == unreduced_graded_homology(c)
 
     def test_contractible_complex(self, monkeypatch):
@@ -319,8 +360,10 @@ class TestUnitReduction:
         assert planted == {} == c.graded_homology == unreduced_graded_homology(c)
         # unscrambled, every pair splits off and no Smith work is left
         c, _ = scrambled_complex(random.Random(5), pieces, mixes=0)
-        assert chains._unit_reduced(c.ranks, c.boundaries) == ({}, {}, {})
-        monkeypatch.setattr(chains, "cokernel", None)
+        ranks, residual, split = split_complex(c)
+        assert not any(ranks.values()) and not any(residual.values())
+        assert {p for orders in split.values() for p in orders} == {1}
+        monkeypatch.setattr(abelian, "snf", None)
         assert c.graded_homology == {}
 
     def test_boundary_that_empties(self):
@@ -330,13 +373,13 @@ class TestUnitReduction:
         c = ChainComplex("e", {1: 2, 2: 2, 3: 1},
                          {2: IntMatrix.from_rows([[1, 1], [1, 1]]),
                           3: IntMatrix.from_rows([[3], [-3]])})
-        assert chains._unit_reduced(c.ranks, c.boundaries) == ({1: 1}, {}, {2: [3]})
+        assert split_complex(c) == ({1: 1, 2: 0, 3: 0}, {2: [[]], 3: []}, {2: [1], 3: [3]})
         assert c.graded_homology == {1: Z, 2: FgAbGroup.cyclic(3)} == unreduced_graded_homology(c)
         # a pair that takes every cell of degree 1 leaves d_2 with no rows
         c = ChainComplex("f", {1: 1, 2: 2, 3: 1},
                          {2: IntMatrix.from_rows([[1, -2]]),
                           3: IntMatrix.from_rows([[4], [2]])})
-        assert chains._unit_reduced(c.ranks, c.boundaries) == ({}, {}, {2: [2]})
+        assert split_complex(c) == ({1: 0, 2: 0, 3: 0}, {2: [], 3: []}, {2: [1], 3: [2]})
         assert c.graded_homology == {2: Z2} == unreduced_graded_homology(c)
 
     def test_homology_reaches_smith_through_column_echelon(self, monkeypatch):
@@ -361,7 +404,7 @@ class TestUnitReduction:
         pair = smash(rp6, rp6)
         triple = smash(pair, rp6)
         want = {n: kunneth(pair, rp6, n) for n in range(triple.top_degree + 2)}
-        monkeypatch.setattr(chains, "cokernel", None)
+        monkeypatch.setattr(abelian, "snf", None)
         assert {n: homology(triple, n) for n in want} == want
 
 
@@ -603,7 +646,7 @@ class TestSmashProduct:
         assert max(triple.ranks.values()) == 300
         want = {n: kunneth(pair, rp20, n) for n in range(triple.top_degree + 2)}
         # every entry is 0 or +-2: the divisor pivots leave no Smith work
-        monkeypatch.setattr(chains, "cokernel", None)
+        monkeypatch.setattr(abelian, "snf", None)
         for n in want:
             assert homology(triple, n) == want[n], n
         assert homology(triple, 3) == FgAbGroup.of(0, [2])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ahom.abelian import MAX_SUMMANDS
 from ahom.chains import MAX_DEGREE
 from ahom.cli import VERBS, main
 from ahom.spaces import projective
@@ -369,6 +370,43 @@ class TestExitCodes:
         code, out, err = run(capsys, "homology", "--X", f"file:{path}")
         assert (code, out) == (2, "")
         assert f"degree {over} puts a cell past the limit of {MAX_DEGREE}" in err
+
+    def test_sparse_table_is_two(self, capsys, tmp_path):
+        # two entries 10^11 apart: refused without listing the degrees between
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"variant": "absolute", "abelian": True,
+                                    "pi": {"1": "Z", "100000000000": "Z"}}))
+        code, out, err = run(capsys, "federer-e2", "--A", "rp:2", "--table", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: absolute table must cover a contiguous range starting at 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("ahomology", "--A", "rp:3", "--X", "moore:Z^100000000000000000000000:3"),
+        ("hopf-whitney", "--K", "rp:8", "--pi", "Z^100000000000000000000000000+Z^3+Z^2"),
+        ("cohomology", "--X", "moore:Z^100000000000:3", "--coefficients", "Z/2",
+         "--degree", "3"),
+        ("homology", "--X", "moore:Z^100000000+Z/3:5"),
+        ("homology", "--X", f"moore:Z^{MAX_SUMMANDS}+Z/3:5"),
+        ("cohomology", "--X", "rp:2", "--coefficients", f"Z^{MAX_SUMMANDS}+Z"),
+    ], ids=["ahomology", "hopf-whitney", "cohomology", "homology", "one-over", "two-terms"])
+    def test_summands_past_the_limit_are_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"past the limit of {MAX_SUMMANDS}" in err
+
+    def test_summands_at_the_limit_answer(self, capsys):
+        code, out, err = run(capsys, "homology", "--X", f"moore:Z^{MAX_SUMMANDS - 1}+Z/3:2",
+                             "--degree", "2")
+        assert (code, err) == (0, "")
+        assert out == f"H_2(moore:Z^{MAX_SUMMANDS - 1}+Z/3:2) = Z^{MAX_SUMMANDS - 1} + Z/3\n"
+
+    def test_complex_file_rank_past_the_limit_is_two(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        for rank, want in ((MAX_SUMMANDS, 0), (MAX_SUMMANDS + 1, 2)):
+            path.write_text(json.dumps({"reduced": True, "ranks": {"2": rank}, "boundaries": {}}))
+            code, _, err = run(capsys, "homology", "--X", f"file:{path}", "--degree", "2")
+            assert code == want
+        assert err == (f"error: a rank is past the limit of {MAX_SUMMANDS} cells in one degree\n")
 
     def test_help_is_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
