@@ -47,8 +47,23 @@ class GroupParseError(ValueError):
 
 
 # The most cyclic summands a group text, and so a Moore recipe's degree, or a
-# complex file's degree may hold: "Z^N" would otherwise demand N of them.
+# complex file's degree may hold: "Z^N" would otherwise demand N of them.  Hom
+# and Ext expand no more than that many either.
 MAX_SUMMANDS = 100_000
+
+
+def within_summand_limit(n: int, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` naming the limit when n summands are past MAX_SUMMANDS."""
+    if n > MAX_SUMMANDS:
+        raise error(f"{n} summands are past the limit of {MAX_SUMMANDS}")
+
+
+def require_int(x: object, what: str) -> int:
+    """x when it is an int; a float, bool or string is a TypeError naming it,
+    so that no value changes meaning on the way in."""
+    if type(x) is not int:
+        raise TypeError(f"{what} {x!r} is a {type(x).__name__}, not an int")
+    return x
 
 
 def canonical_int(text: str, what: str, error: type[ValueError] = ValueError) -> int:
@@ -107,8 +122,8 @@ class IntMatrix:
         An entry that is not an int (a float, bool, string) is a TypeError."""
         data = tuple(map(tuple, rows))
         if not {int}.issuperset(map(type, chain.from_iterable(data))):
-            x = next(x for x in chain.from_iterable(data) if type(x) is not int)
-            raise TypeError(f"matrix entry {x!r} is a {type(x).__name__}, not an int")
+            for x in chain.from_iterable(data):
+                require_int(x, "matrix entry")
         if data:
             width = len(data[0])
         else:
@@ -439,11 +454,11 @@ class FgAbGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        if require_int(self.free_rank, "free rank") < 0:
             raise ValueError("free rank must be nonnegative")
         prev = None
         for d in self.invariant_factors:
-            if d < 2:
+            if require_int(d, "invariant factor") < 2:
                 raise ValueError(f"invariant factor {d} is not >= 2")
             if prev is not None and d % prev:
                 raise ValueError(f"broken divisor chain: {prev} does not divide {d}")
@@ -486,7 +501,7 @@ class FgAbGroup:
         so the cost is the orders times the distinct values in the chain.
         Orders that are sorted into a divisor chain already need no pass.
         """
-        torsion = sorted(int(d) for d in orders if d != 1)
+        torsion = sorted(d for d in orders if require_int(d, "cyclic order") != 1)
         if torsion and torsion[0] < 1:
             raise ValueError(f"cyclic order {torsion[0]} must be positive")
         if any(map(mod, torsion[1:], torsion)):
@@ -554,9 +569,7 @@ def parse_group(text: str) -> FgAbGroup:
         else:
             raise GroupParseError(f"unrecognized summand {token!r}")
     g = FgAbGroup.of(rank, orders)
-    if g.free_rank + len(g.invariant_factors) > MAX_SUMMANDS:
-        raise GroupParseError(f"{g.free_rank + len(g.invariant_factors)} summands "
-                              f"are past the limit of {MAX_SUMMANDS}")
+    within_summand_limit(g.free_rank + len(g.invariant_factors), GroupParseError)
     return g
 
 
@@ -621,24 +634,21 @@ def _pivot(row: list[int], rows: list[list[int]]) -> int | None:
                  if not any(map(mod, map(itemgetter(s), rows), repeat(p)))), None)
 
 
-def residual_cokernel(rows: list[list[int]], orders: list[int],
-                      m: IntMatrix | None = None) -> FgAbGroup:
+def residual_cokernel(rows: list[list[int]], orders: list[int]) -> FgAbGroup:
     """The cokernel of a matrix, from the |p| of the divisor pivots split off
     it (:func:`split_pivots`) and the rows left, which take one :func:`snf`
-    without a certificate unless zero; `m` is those rows as an IntMatrix."""
+    without a certificate unless zero."""
     if not any(map(any, rows)):
         return FgAbGroup.of(len(rows), orders)
-    dec = snf(m or IntMatrix(len(rows), len(rows[0]), tuple(map(tuple, rows))), False)
+    dec = snf(IntMatrix(len(rows), len(rows[0]), tuple(map(tuple, rows))), False)
     return FgAbGroup.of(len(rows) - dec.rank, [*orders, *dec.diagonal[:dec.rank]])
 
 
 def cokernel(m: IntMatrix) -> FgAbGroup:
     """Z^rows / (column span of m), in canonical form: the divisor pivots
-    split off (:func:`split_pivots`), then :func:`residual_cokernel`; when
-    nothing was split, m itself goes to :func:`snf`."""
+    split off (:func:`split_pivots`), then :func:`residual_cokernel`."""
     rows = [list(row) for row in m.entries]
-    orders = split_pivots({0: rows})[0]
-    return residual_cokernel(rows, orders, None if orders else m)
+    return residual_cokernel(rows, split_pivots({0: rows})[0])
 
 
 def hom(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
@@ -647,7 +657,9 @@ def hom(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
 
 
 def hom_orders(g: FgAbGroup, h: FgAbGroup) -> list[int]:
-    """The orders of the cyclic torsion summands of :func:`hom`, not canonicalized."""
+    """The orders of the cyclic torsion summands of :func:`hom`, not canonicalized;
+    past MAX_SUMMANDS of them is a ValueError, raised before any is listed."""
+    within_summand_limit(len(h.invariant_factors) * (g.free_rank + len(g.invariant_factors)))
     orders = list(h.invariant_factors) * g.free_rank
     return orders + [math.gcd(a, b) for a in g.invariant_factors for b in h.invariant_factors]
 
@@ -658,7 +670,9 @@ def ext(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
 
 
 def ext_orders(g: FgAbGroup, h: FgAbGroup) -> list[int]:
-    """The orders of the cyclic summands of :func:`ext`, all finite, not canonicalized."""
+    """The orders of the cyclic summands of :func:`ext`, all finite, not canonicalized;
+    past MAX_SUMMANDS of them is a ValueError, raised before any is listed."""
+    within_summand_limit(len(g.invariant_factors) * (h.free_rank + len(h.invariant_factors)))
     return [c for a in g.invariant_factors
             for c in [a] * h.free_rank + [math.gcd(a, b) for b in h.invariant_factors]]
 

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .abelian import (MAX_SUMMANDS, FgAbGroup, IntMatrix, canonical_int, cokernel,
                       column_echelon, composite_is_zero, ext_orders, hom_orders,
-                      residual_cokernel, split_pivots)
+                      require_int, residual_cokernel, split_pivots)
 # not called here: the benchmark's tracer rebinds chains.kernel_basis and its tests check that
 from .abelian import kernel_basis  # noqa: F401
 
@@ -74,7 +74,8 @@ class ChainComplex:
     """Reduced cellular chain data: cell counts and boundary degree matrices.
 
     `boundaries[n]` is the map from n-chains to (n-1)-chains, with
-    ranks(n-1) rows and ranks(n) columns.  All invariants (matching shapes
+    ranks(n-1) rows and ranks(n) columns.  A degree or cell count that is
+    not an int is a TypeError, and all invariants (matching shapes
     and the d*d = 0 law) are checked at construction; zero ranks and zero
     matrices are normalized away.  The d*d = 0 test packs each row of the
     upper boundary into one integer (:func:`~ahom.abelian.composite_is_zero`),
@@ -90,17 +91,16 @@ class ChainComplex:
     def __post_init__(self):
         ranks: dict[int, int] = {}
         for n, r in self.ranks.items():
-            n, r = int(n), int(r)
-            if n < 0:
+            if require_int(n, "degree") < 0:
                 raise InvalidComplexError(f"cells in negative degree {n}")
-            if r < 0:
+            if require_int(r, "cell count") < 0:
                 raise InvalidComplexError(f"negative cell count at degree {n}")
             if r:
                 ranks[n] = r
         boundaries: dict[int, IntMatrix] = {}
         bounds: dict[int, int] = {}  # max |entry| of each nonzero boundary
         for n, mat in self.boundaries.items():
-            n = int(n)
+            require_int(n, "boundary degree")
             want = (ranks.get(n - 1, 0), ranks.get(n, 0))
             if (mat.rows, mat.cols) != want:
                 raise ShapeMismatchError(

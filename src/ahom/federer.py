@@ -1,11 +1,13 @@
 """Second-page assembly for the homotopy spectral sequence of a shape complex.
 
 The page lives in the second quadrant: columns p from -dim(A) to -1, rows q
-over a user-supplied table of homotopy groups.  The page stores one group
-per cell, the cohomology H^(-p)(A; pi_q).  How much the underlying theorem
-pins a cell down depends on its position alone, p + q against the edge
-diagonal q_min - 1 of the variant, and :meth:`BigradedPage.status` is the
-one place that says so:
+over a user-supplied table of homotopy groups.  The page is a view of A and
+the table: it stores no cell, and derives the group at (p, q), the
+cohomology H^(-p)(A; pi_q), when asked, so a verb pays for the cells it
+reads; A keeps each such group once (``chains.cohomology_uct``).  How much
+the underlying theorem pins a cell down depends on its position alone,
+p + q against the edge diagonal q_min - 1 of the variant, and
+:meth:`BigradedPage.status` is the one place that says so:
 
 * ``exact`` above the edge diagonal,
 * ``subgroup_upper_bound`` on the edge diagonal (the theorem only places the
@@ -27,7 +29,8 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import (
     FgAbGroup,
@@ -108,13 +111,24 @@ TRIVIAL = FgAbGroup.trivial()
 
 @dataclass(frozen=True)
 class BigradedPage:
-    """The finite grid of second-page groups for one shape complex and table;
-    a cell's status follows from p + q and the variant alone."""
+    """The second page of the shape complex `a` and the table groups `pi`,
+    over the cells p_range x q_range; a cell's group is derived when read,
+    and its status follows from p + q and the variant alone."""
 
     variant: str
     p_range: tuple[int, int]
     q_range: tuple[int, int]
-    entries: dict[tuple[int, int], FgAbGroup]
+    a: ChainComplex
+    pi: dict[int, FgAbGroup]
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], FgAbGroup]:
+        """Every cell's group by (p, q), in sorted order, formed on first
+        read: only readers of the whole page ask for it."""
+        p_lo, p_hi = self.p_range
+        q_lo, q_hi = self.q_range
+        return {(p, q): self.group(p, q) for p in range(p_lo, p_hi + 1)
+                for q in range(q_lo, q_hi + 1)}
 
     def status(self, p: int, q: int) -> str:
         """Zero below the edge diagonal p + q = q_min - 1, an upper bound on it, exact above."""
@@ -126,12 +140,17 @@ class BigradedPage:
         return self.variant == RELATIVE and self.status(p, q) == UPPER_BOUND
 
     def group(self, p: int, q: int) -> FgAbGroup:
-        return self.entries.get((p, q), TRIVIAL)
+        """H^(-p)(A; pi_q), or the trivial group off the page or below the edge."""
+        g = self.pi.get(q)  # pi covers q_range exactly
+        if g is None or not self.p_range[0] <= p <= self.p_range[1] or self.status(p, q) == ZERO:
+            return TRIVIAL
+        return cohomology_uct(self.a, -p, g)
 
     def diagonal(self, n: int) -> list[tuple[int, int]]:
-        """The stored cells with p + q = n, leftmost column first."""
+        """The cells of the page with p + q = n, leftmost column first."""
         p_lo, p_hi = self.p_range
-        return [(p, n - p) for p in range(p_lo, p_hi + 1) if (p, n - p) in self.entries]
+        q_lo, q_hi = self.q_range
+        return [(p, n - p) for p in range(max(p_lo, n - q_hi), min(p_hi, n - q_lo) + 1)]
 
 
 def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> BigradedPage:
@@ -142,11 +161,7 @@ def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> Bigra
         raise RefusedHypothesis(
             f"refused: the table does not assert that {fundamental} is abelian, "
             "which the page construction requires and cannot verify")
-    q_min, q_max = table.q_min, table.q_max
-    grid = BigradedPage(variant, (-a.top_degree, -1), (q_min, q_max), {})
-    return replace(grid, entries={
-        (p, q): TRIVIAL if grid.status(p, q) == ZERO else cohomology_uct(a, -p, table.entries[q])
-        for p in range(-a.top_degree, 0) for q in range(q_min, q_max + 1)})
+    return BigradedPage(variant, (-a.top_degree, -1), (table.q_min, table.q_max), a, table.entries)
 
 
 def federer_e2(a: ChainComplex, table: HomotopyTable) -> BigradedPage:
@@ -196,44 +211,26 @@ def collapse_report(page: BigradedPage, n: int) -> DiagonalVerdict:
             n, (), OUT_OF_RANGE, None,
             (f"total degree {n} is below the convergence range (n >= {threshold})",))
     p_lo, p_hi = page.p_range
-    q_lo, q_hi = page.q_range
-
-    missing = [n - p for p in range(p_lo, p_hi + 1) if n - p > q_hi]
-    if missing:
+    q_hi = page.q_range[1]
+    if p_lo <= p_hi and n - p_lo > q_hi:  # the leftmost column needs the highest q
         return DiagonalVerdict(
             n, (), OUT_OF_RANGE, None,
-            (f"table ends at q = {q_hi} but the diagonal needs q up to {max(missing)}",))
-
-    def possibly_nonzero(p: int, q: int) -> bool | None:
-        """False when the position is forced to vanish, None when unknown."""
-        if p < p_lo or p > p_hi or page.status(p, q) == ZERO:
-            return False
-        if q > q_hi:
-            return None
-        return not page.group(p, q).is_trivial()
+            (f"table ends at q = {q_hi} but the diagonal needs q up to {n - p_lo}",))
 
     surviving = [(p, q, g, page.status(p, q)) for p, q in page.diagonal(n)
-                 if not (g := page.entries[(p, q)]).is_trivial()]
-    notes: list[str] = []
-    any_possible_differential = False
-    for p, q, _, _ in surviving:
-        for step in range(2, (p_hi - p_lo) + 2):
-            for p2, q2 in ((p + step, q - step + 1), (p - step, q + step - 1)):
-                state = possibly_nonzero(p2, q2)
-                if state is None:
-                    return DiagonalVerdict(
-                        n, tuple(surviving), OUT_OF_RANGE, None,
-                        (f"a differential endpoint of ({p},{q}) needs q = {q2} "
-                         f"beyond the table (q_max = {q_hi})",))
-                if state:
-                    any_possible_differential = True
-                    notes.append(f"possible differential between ({p},{q}) and ({p2},{q2})")
+                 if not (g := page.group(p, q)).is_trivial()]
+    # a differential endpoint lies on diagonal n - 1 or n + 1, so in a column
+    # of the page it lies below q = n - p_lo, inside the table
+    notes = [f"possible differential between ({p},{q}) and ({p2},{q2})"
+             for p, q, _, _ in surviving for step in range(2, (p_hi - p_lo) + 2)
+             for p2, q2 in ((p + step, q - step + 1), (p - step, q + step - 1))
+             if not page.group(p2, q2).is_trivial()]
 
     if not surviving:
         return DiagonalVerdict(
             n, (), DETERMINED, FgAbGroup.trivial(),
             ("every entry on the diagonal vanishes",))
-    if any_possible_differential:
+    if notes:
         return DiagonalVerdict(
             n, tuple(surviving), GRADED_UPPER_BOUNDS, None, tuple(notes))
     if len(surviving) == 1 and surviving[0][3] == EXACT:
@@ -353,14 +350,18 @@ def torsion_class_check(a: ChainComplex, table: HomotopyTable,
                      if not in_class(homology(a, j), primes))
     hypothesis = not failures
     page = federer_e2(a, table)
-    verdicts = {g: in_class(g, primes) for g in set(page.entries.values())}  # per distinct group
-    flags = {n: hypothesis and all(verdicts[page.entries[cell]] for cell in page.diagonal(n))
+    # H^k(A; g) sits on a cell above the zero region exactly when g = pi_q, q >= k
+    highest = {table.entries[q]: q for q in range(table.q_min, table.q_max + 1)}
+    in_range = all(in_class(cohomology_uct(a, k, g), primes)
+                   for g, q in highest.items() for k in range(1, min(q, a.top_degree) + 1))
+    flags = {n: hypothesis and (in_range or all(in_class(page.group(*cell), primes)
+                                                for cell in page.diagonal(n)))
              for n in range(1, table.q_max - a.top_degree + 1)}
     return TorsionClassReport(
         primes=primes,
         hypothesis_holds=hypothesis,
         hypothesis_failures=failures,
-        entries_in_class=all(verdicts.values()),
+        entries_in_class=in_range,
         diagonal_flags=flags,
     )
 
@@ -384,14 +385,11 @@ def e2_consistency_with_ahomology(a: ChainComplex, x: ChainComplex,
     if n < 1:
         raise ValueError("consistency check needs n >= 1")
     q_max = max(n + a.top_degree, 1)
-    table = HomotopyTable(
-        ABSOLUTE,
-        {q: homology(x, q) for q in range(1, q_max + 1)},
-        abelian_assumption=True,  # automatic for the symmetric-product target
-    )
-    page = federer_e2(a, table)
-    diagonal_sum = direct_sum([page.entries[(p, q)] for p, q in page.diagonal(n)
-                               if page.status(p, q) == EXACT])
+    # pi_1 of the symmetric-product target is abelian, so nothing is refused
+    page = BigradedPage(ABSOLUTE, (-a.top_degree, -1), (1, q_max), a,
+                        {q: homology(x, q) for q in range(1, q_max + 1)})
+    # p + q = n >= 1 puts every cell of the diagonal above the edge: all exact
+    diagonal_sum = direct_sum(page.group(p, q) for p, q in page.diagonal(n))
     formula_value = a_homology(a, x, n)
     return ConsistencyCheck(n, diagonal_sum == formula_value,
                             diagonal_sum, formula_value)
@@ -433,7 +431,7 @@ def load_homotopy_table(path: str) -> HomotopyTable:
 
 
 def _cell_text(page: BigradedPage, p: int, q: int) -> str:
-    return (str(page.group(p, q)) + ("*" if page.status(p, q) == UPPER_BOUND else "")
+    return (str(page.entries[p, q]) + ("*" if page.status(p, q) == UPPER_BOUND else "")
             + ("!" if page.must_die(p, q) else ""))
 
 
@@ -458,8 +456,8 @@ def render_page(page: BigradedPage) -> str:
 
 def page_to_json(page: BigradedPage) -> dict:
     out = {}
-    for p, q in sorted(page.entries):
-        cell = {"group": str(page.entries[(p, q)]), "status": page.status(p, q)}
+    for (p, q), group in page.entries.items():  # in sorted order
+        cell = {"group": str(group), "status": page.status(p, q)}
         if page.must_die(p, q):
             cell["must_die"] = True
         out[f"{p},{q}"] = cell

@@ -7,8 +7,9 @@ and the Smith form built on it, the matrix adapter of the library's Hermite
 pass, the unmemoized Hom/Ext cohomology, the degree-window sum for shaped
 homology, the unreduced graded homology,
 the Hom complex whose homology is shaped homology, the smash product
-with its Kunneth formula and the full draw loop of random complexes, which
-reduce through the library on purpose.
+with its Kunneth formula, the full draw loop of random complexes and the
+eager second page with its collapse and torsion reports, which reduce
+through the library on purpose.
 """
 
 import math
@@ -17,9 +18,11 @@ from fractions import Fraction
 from itertools import product
 
 from ahom.abelian import (FgAbGroup, IntMatrix, PrimeSet, SmithDecomposition, cokernel,
-                          column_echelon, direct_sum, ext, hom, kernel_basis)
+                          column_echelon, direct_sum, ext, hom, in_class, kernel_basis)
 from ahom.chains import ChainComplex, cohomology_uct, homology
-from ahom.federer import TABLE_START, HomotopyTable
+from ahom.federer import (DETERMINED, EXACT, GRADED_UPPER_BOUNDS, OUT_OF_RANGE, TABLE_START,
+                          ZERO, BigradedPage, DiagonalVerdict, HomotopyTable,
+                          TorsionClassReport)
 
 
 def elements(g: FgAbGroup):
@@ -333,6 +336,92 @@ def constant_table(variant: str, group: FgAbGroup, q_max: int,
     """The table with pi_q = group for every q from the variant's start to q_max."""
     return HomotopyTable(variant, {q: group for q in range(TABLE_START[variant], q_max + 1)},
                          abelian)
+
+
+class EagerPage:
+    """The second page as it was stored before it became a view: every cell
+    of p_range x q_range assembled at once, and read back from that grid."""
+
+    status = BigradedPage.status  # positional, so shared with the view
+
+    def __init__(self, a: ChainComplex, table: HomotopyTable):
+        self.variant = table.variant
+        self.p_range, self.q_range = (-a.top_degree, -1), (table.q_min, table.q_max)
+        self.entries = {
+            (p, q): FgAbGroup.trivial() if self.status(p, q) == ZERO
+            else cohomology_uct(a, -p, table.entries[q])
+            for p in range(-a.top_degree, 0) for q in range(table.q_min, table.q_max + 1)}
+
+    def group(self, p: int, q: int) -> FgAbGroup:
+        return self.entries.get((p, q), FgAbGroup.trivial())
+
+    def diagonal(self, n: int) -> list[tuple[int, int]]:
+        p_lo, p_hi = self.p_range
+        return [(p, n - p) for p in range(p_lo, p_hi + 1) if (p, n - p) in self.entries]
+
+
+def reference_collapse_report(page: EagerPage, n: int) -> DiagonalVerdict:
+    """The collapse analysis as it read the stored grid, with its test for a
+    differential endpoint past the table."""
+    threshold = TABLE_START[page.variant]
+    if n < threshold:
+        return DiagonalVerdict(
+            n, (), OUT_OF_RANGE, None,
+            (f"total degree {n} is below the convergence range (n >= {threshold})",))
+    p_lo, p_hi = page.p_range
+    q_lo, q_hi = page.q_range
+    missing = [n - p for p in range(p_lo, p_hi + 1) if n - p > q_hi]
+    if missing:
+        return DiagonalVerdict(
+            n, (), OUT_OF_RANGE, None,
+            (f"table ends at q = {q_hi} but the diagonal needs q up to {max(missing)}",))
+
+    def possibly_nonzero(p: int, q: int) -> bool | None:
+        """False when the position is forced to vanish, None when unknown."""
+        if p < p_lo or p > p_hi or page.status(p, q) == ZERO:
+            return False
+        if q > q_hi:
+            return None
+        return not page.group(p, q).is_trivial()
+
+    surviving = [(p, q, g, page.status(p, q)) for p, q in page.diagonal(n)
+                 if not (g := page.entries[(p, q)]).is_trivial()]
+    notes: list[str] = []
+    for p, q, _, _ in surviving:
+        for step in range(2, (p_hi - p_lo) + 2):
+            for p2, q2 in ((p + step, q - step + 1), (p - step, q + step - 1)):
+                state = possibly_nonzero(p2, q2)
+                if state is None:
+                    return DiagonalVerdict(
+                        n, tuple(surviving), OUT_OF_RANGE, None,
+                        (f"a differential endpoint of ({p},{q}) needs q = {q2} "
+                         f"beyond the table (q_max = {q_hi})",))
+                if state:
+                    notes.append(f"possible differential between ({p},{q}) and ({p2},{q2})")
+    if not surviving:
+        return DiagonalVerdict(n, (), DETERMINED, FgAbGroup.trivial(),
+                               ("every entry on the diagonal vanishes",))
+    if notes:
+        return DiagonalVerdict(n, tuple(surviving), GRADED_UPPER_BOUNDS, None, tuple(notes))
+    if len(surviving) == 1 and surviving[0][3] == EXACT:
+        return DiagonalVerdict(n, tuple(surviving), DETERMINED, surviving[0][2],
+                               ("single surviving exact entry with all differentials dead",))
+    return DiagonalVerdict(
+        n, tuple(surviving), GRADED_UPPER_BOUNDS, None,
+        ("several surviving entries: only the associated graded is known; "
+         "the extension problem is not solved",))
+
+
+def reference_torsion_class_check(a: ChainComplex, table: HomotopyTable,
+                                  primes: PrimeSet) -> TorsionClassReport:
+    """The torsion report decided cell by cell over the whole eager page."""
+    failures = tuple(j for j in range(1, a.top_degree + 1)
+                     if not in_class(homology(a, j), primes))
+    page = EagerPage(a, table)
+    flags = {n: not failures and all(in_class(page.entries[c], primes) for c in page.diagonal(n))
+             for n in range(1, table.q_max - a.top_degree + 1)}
+    return TorsionClassReport(primes, not failures, failures,
+                              all(in_class(g, primes) for g in page.entries.values()), flags)
 
 
 def reference_column_echelon(m: IntMatrix,

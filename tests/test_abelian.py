@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahom.abelian import (
+    MAX_SUMMANDS,
     PRIME_LIMIT,
     FgAbGroup,
     GroupParseError,
@@ -43,6 +44,7 @@ from helpers import (
 
 Z = FgAbGroup.free(1)
 TRIVIAL = FgAbGroup.trivial()
+Z2 = FgAbGroup.cyclic(2)
 
 
 def assert_valid_snf(dec):
@@ -483,6 +485,16 @@ class TestFgAbGroup:
         with pytest.raises(ValueError):
             FgAbGroup(-1, ())
 
+    # a value that is not an int is refused, not read as the int it rounds to
+    @pytest.mark.parametrize("make, shown", [
+        (lambda: FgAbGroup.of(0, [2.9, 6.5]), "cyclic order 2.9 is a float"),
+        (lambda: FgAbGroup.of(True, [True, 4]), "cyclic order True is a bool"),
+        (lambda: FgAbGroup(1.5, ()), "free rank 1.5 is a float"),
+    ], ids=["float-orders", "bools", "float-rank"])
+    def test_a_value_that_is_not_an_int_is_refused(self, make, shown):
+        with pytest.raises(TypeError, match=f"^{re.escape(shown)}, not an int$"):
+            make()
+
     def test_trivial_is_one_shared_instance(self):
         assert FgAbGroup.trivial() is FgAbGroup.trivial() is TRIVIAL
         assert TRIVIAL == FgAbGroup() == FgAbGroup.of(0, [1]) == FgAbGroup.cyclic(1)
@@ -587,6 +599,22 @@ class TestHomExt:
             h = FgAbGroup.of(0, [rng.randint(2, 8) for _ in range(rng.randint(1, 3))])
             assert hom(g, h).order() == brute_hom_order(g, h)
             assert ext(g, h).order() == brute_ext_order(g, h)
+
+    @pytest.mark.parametrize("f, g, h, count", [
+        (hom, FgAbGroup.free(10**20), Z2, 10**20),
+        (hom, FgAbGroup.free(MAX_SUMMANDS), FgAbGroup.of(0, [2, 2]), 2 * MAX_SUMMANDS),
+        (hom, FgAbGroup.of(0, [3] * 400), FgAbGroup.of(0, [2] * 400), 160_000),
+        (ext, FgAbGroup.of(0, [2, 2]), FgAbGroup.free(MAX_SUMMANDS), 2 * MAX_SUMMANDS),
+        (ext, Z2, FgAbGroup.free(10**20), 10**20),
+    ], ids=["hom-huge-rank", "hom-rank", "hom-torsion", "ext-rank", "ext-huge-rank"])
+    def test_summands_past_the_limit_are_refused_before_listing(self, f, g, h, count):
+        with pytest.raises(ValueError, match=f"^{count} summands are past the limit of "
+                                             f"{MAX_SUMMANDS}$"):
+            f(g, h)
+
+    def test_summands_at_the_limit_answer(self):
+        g, two = FgAbGroup.free(MAX_SUMMANDS // 2), FgAbGroup.of(0, [2, 2])
+        assert hom(g, two) == ext(two, g) == FgAbGroup.of(0, [2] * MAX_SUMMANDS)
 
     def test_hom_ext_additive(self):
         rng = random.Random(23)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -72,6 +73,19 @@ class TestValidation:
     def test_negative_degree_rejected(self):
         with pytest.raises(InvalidComplexError):
             ChainComplex("bad", {-1: 1}, {})
+
+    @pytest.mark.parametrize("ranks, shown", [
+        ({2.9: 1, 3: 1}, "degree 2.9 is a float"),
+        ({2: 1, 3: 1.7}, "cell count 1.7 is a float"),
+        ({True: 1}, "degree True is a bool"),
+    ], ids=["float-degree", "float-count", "bool-degree"])
+    def test_a_value_that_is_not_an_int_is_refused(self, ranks, shown):
+        with pytest.raises(TypeError, match=f"^{re.escape(shown)}, not an int$"):
+            ChainComplex("x", ranks, {})
+
+    def test_a_boundary_degree_that_is_not_an_int_is_refused(self):
+        with pytest.raises(TypeError, match=r"^boundary degree 2\.0 is a float, not an int$"):
+            ChainComplex("x", {1: 1, 2: 1}, {2.0: IntMatrix.from_rows([[2]])})
 
     def test_zero_ranks_normalized_away(self):
         c = ChainComplex("c", {0: 0, 3: 1, 5: 0}, {})

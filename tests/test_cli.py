@@ -1,10 +1,11 @@
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ahom.abelian import MAX_SUMMANDS
@@ -388,7 +389,10 @@ class TestExitCodes:
         ("homology", "--X", "moore:Z^100000000+Z/3:5"),
         ("homology", "--X", f"moore:Z^{MAX_SUMMANDS}+Z/3:5"),
         ("cohomology", "--X", "rp:2", "--coefficients", f"Z^{MAX_SUMMANDS}+Z"),
-    ], ids=["ahomology", "hopf-whitney", "cohomology", "homology", "one-over", "two-terms"])
+        ("cohomology", "--X", f"moore:Z^{MAX_SUMMANDS - 1}:3", "--coefficients",
+         "+".join(["Z/2"] * 20), "--degree", "3"),
+    ], ids=["ahomology", "hopf-whitney", "cohomology", "homology", "one-over", "two-terms",
+            "hom-of-two"])
     def test_summands_past_the_limit_are_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -399,6 +403,15 @@ class TestExitCodes:
                              "--degree", "2")
         assert (code, err) == (0, "")
         assert out == f"H_2(moore:Z^{MAX_SUMMANDS - 1}+Z/3:2) = Z^{MAX_SUMMANDS - 1} + Z/3\n"
+
+    def test_hom_past_the_limit_is_two(self, capsys, tmp_path):
+        # each group is under the limit, but Hom(Z^99999, pi_2) would list 10^10 summands
+        path = tmp_path / "wide.json"
+        path.write_text(WIDE_TABLE)
+        code, out, err = run(capsys, "moore-ses", "--G", f"Z^{MAX_SUMMANDS - 1}", "--m", "1",
+                             "--table", str(path), "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {(MAX_SUMMANDS - 1) ** 2} summands are past the limit of {MAX_SUMMANDS}\n"
 
     def test_complex_file_rank_past_the_limit_is_two(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
@@ -466,6 +479,119 @@ class TestComplexFileFuzz:
             rows = data["boundaries"][prefix.removeprefix("error: boundary ")[1:-1]]
             first = next(x for row in rows for x in row if type(x) is not int)
             assert shown == json.dumps(first) + "\n"
+
+
+# pi_2 written out as MAX_SUMMANDS - 1 copies of Z/2: about 400 KB of table
+WIDE_TABLE = json.dumps({"variant": "absolute", "abelian": True,
+                         "pi": {"1": "0", "2": "+".join(["Z/2"] * (MAX_SUMMANDS - 1)), "3": "0"}})
+SPARSE_TABLE = json.dumps({"variant": "absolute", "abelian": True,
+                           "pi": {"1": "Z", "100000000000": "Z"}})
+def mostly(valid, odd):
+    """Values drawn from `valid` nine times in ten, from `odd` otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: odd if i == 9 else valid)
+
+
+ODD_INTS = st.sampled_from(["0", str(MAX_DEGREE), str(MAX_DEGREE + 1), "-1", "01", "+2", " 3",
+                            "x", "", str(MAX_SUMMANDS - 1), str(MAX_SUMMANDS + 1),
+                            "100000000000", "1" + "0" * 25])
+INTS = mostly(st.sampled_from(["1", "2", "3", "4", "6", "8"]), ODD_INTS)
+SUMMANDS = mostly(st.sampled_from(["Z", "Z/2", "Z/3", "Z/4", "Z^2", "Z/12"]),
+                  st.one_of(st.sampled_from(["0", "Z/", "Q", "Z^", " Z /2"]),
+                            ODD_INTS.map("Z^{}".format), ODD_INTS.map("Z/{}".format)))
+GROUPS = st.one_of(st.lists(SUMMANDS, min_size=1, max_size=4).map("+".join), st.just("0"))
+RECIPES = mostly(
+    st.one_of(st.tuples(st.sampled_from(["sphere", "rp", "moore:Z/2", "moore:Z"]), INTS),
+              st.tuples(st.just("moore"), GROUPS, INTS), st.just(("file", "{complex}"))),
+    st.sampled_from([("file", ""), ("disk", "2"), ("rp", "2:3")])).map(":".join)
+PRIMES = mostly(st.sampled_from(["2", "3", "2,3", "5", "2, 5"]),
+                st.sampled_from(["4", "0", "-2", "x", "", "2,,3", "18446744073709551557",
+                                 "18446744073709551629"]))
+
+
+@st.composite
+def table_texts(draw):
+    """The JSON text of a small homotopy table, now and then of the wrong
+    variant, not contiguous, unasserted or cut short."""
+    variant = draw(mostly(st.sampled_from(["absolute", "relative"]), st.just("both")))
+    start = 2 if variant == "relative" else 1
+    pi = {str(q): draw(GROUPS) for q in range(start, start + draw(st.integers(0, 9)))}
+    if draw(st.integers(0, 9)) == 9:
+        pi[draw(ODD_INTS)] = draw(GROUPS)
+    text = json.dumps({"variant": variant, "pi": pi,
+                       "abelian": draw(mostly(st.just(True), st.sampled_from([False, 1])))})
+    return text[:draw(mostly(st.just(len(text)), st.just(len(text) // 2)))]
+
+
+@st.composite
+def calls(draw):
+    """A verb with each of its options given a value of the kind it takes,
+    now and then left out, and the files it may read: a table and a complex."""
+    verb = draw(st.sampled_from([v for v in VERBS if v != "corpus"]))  # corpus reads no input
+    argv = [verb]
+    for flag, kwargs in VERBS[verb][2]:
+        if draw(st.integers(0, 19)) == 19:
+            continue
+        if "action" in kwargs:
+            argv.append(flag)
+            continue
+        kind = {"RECIPE": RECIPES, "GROUP": GROUPS, "PATH": mostly(st.just("{table}"), st.just("")),
+                "P1,P2,...": PRIMES}.get(kwargs.get("metavar"), INTS)
+        argv += [flag, draw(kind)]
+    argv += draw(mostly(st.sampled_from([[], ["--out", "json"]]), st.just(["--out", "xml"])))
+    return argv, draw(table_texts()), draw(complex_files())[0]
+
+
+class TimeCap(Exception):
+    """An in-process call ran past its time cap."""
+
+
+def _time_cap(signum, frame):
+    raise TimeCap
+
+
+VALID_TABLE = json.dumps({"variant": "absolute", "abelian": True, "pi": {"1": "Z", "2": "Z/2"}})
+VALID_COMPLEX = json.dumps({"reduced": True, "ranks": {"1": 1, "2": 1}, "boundaries": {"2": [[2]]}})
+
+
+class TestMainFuzz:
+    """Every call of main ends in exit 0, 1 or 2 within a time cap, with no
+    traceback, whatever recipe, group, table or complex text it is given."""
+
+    CAP_S = 5
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(calls())
+    @example((["ahomology", "--A", "rp:3", "--X", "moore:Z^100000000000000000000000:3"],
+              VALID_TABLE, VALID_COMPLEX))
+    @example((["hopf-whitney", "--K", "rp:8", "--pi", "Z^100000000000000000000000000+Z^3+Z^2"],
+              VALID_TABLE, VALID_COMPLEX))
+    @example((["cohomology", "--X", "moore:Z^100000000000:3", "--coefficients", "Z/2",
+               "--degree", "3"], VALID_TABLE, VALID_COMPLEX))
+    @example((["homology", "--X", "moore:Z^100000000+Z/3:5"], VALID_TABLE, VALID_COMPLEX))
+    @example((["federer-e2", "--A", "rp:2", "--table", "{table}"], SPARSE_TABLE, VALID_COMPLEX))
+    @example((["moore-ses", "--G", f"Z^{MAX_SUMMANDS - 1}", "--m", "1", "--table", "{table}",
+               "--n", "1"], WIDE_TABLE, VALID_COMPLEX))
+    @example((["cohomology", "--X", f"moore:Z^{MAX_SUMMANDS - 1}:3", "--coefficients",
+               "+".join(["Z/2"] * 20), "--degree", "3"], VALID_TABLE, VALID_COMPLEX))
+    @example((["corpus"], VALID_TABLE, VALID_COMPLEX))
+    def test_every_call_exits_cleanly(self, capsys, tmp_path, case):
+        argv, table_text, complex_text = case
+        paths = {"table": tmp_path / "table.json", "complex": tmp_path / "complex.json"}
+        paths["table"].write_text(table_text)
+        paths["complex"].write_text(complex_text)
+        argv = [arg.format_map(paths) for arg in argv]
+        previous = signal.signal(signal.SIGALRM, _time_cap)
+        signal.setitimer(signal.ITIMER_REAL, self.CAP_S)
+        try:
+            code = main(argv)
+        except TimeCap:
+            pytest.fail(f"ahom {' '.join(argv)} ran past {self.CAP_S} s")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
 
 
 class TestParserBuild:

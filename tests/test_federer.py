@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahom import chains, federer
-from ahom.abelian import FgAbGroup, PrimeSet, hom_orders, in_class
-from ahom.chains import cohomology_direct, cohomology_uct, homology
+from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, hom_orders, in_class
+from ahom.chains import ChainComplex, cohomology_direct, cohomology_uct, homology
 from ahom.corpus import connected_complex, random_complex, random_group, random_table
 from ahom.federer import (
     ABSOLUTE,
@@ -37,7 +37,8 @@ from ahom.federer import (
 )
 from ahom.spaces import moore, projective, sphere
 from ahom.chains import suspension, wedge
-from helpers import constant_table, unmemoized_uct
+from helpers import (EagerPage, constant_table, reference_collapse_report,
+                     reference_torsion_class_check, unmemoized_uct)
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -107,19 +108,21 @@ class TestPageAssembly:
                                         for q in range(start, start + rng.randint(1, 10))}, True)
         assemble = federer_e2 if variant == ABSOLUTE else relative_federer_e2
 
+        # the page derives its cells when read, so each is read in the context
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(federer, "cohomology_uct", unmemoized_uct)
-            unshared = assemble(a, table)
+            unshared = assemble(a, table).entries
         assert "_cohomology" not in vars(a)
         # cohomology_uct assembles a group by one FgAbGroup.of over the Hom
         # and Ext orders, so one hom_orders call is one assembly
         homs = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chains, "hom_orders", lambda h, g: homs.append(g) or hom_orders(h, g))
-            shared = assemble(a, table)
+            page = assemble(a, table)
+            assert homs == []
+            shared = page.entries
         assert shared == unshared
-        asked = {(-p, table.entries[q]) for p, q in shared.entries
-                 if shared.status(p, q) != ZERO}
+        asked = {(-p, table.entries[q]) for p, q in shared if page.status(p, q) != ZERO}
         assert len(homs) == len(asked)
 
     def test_sphere_shape_single_column(self):
@@ -218,6 +221,72 @@ class TestPageAssembly:
         t = constant_table(RELATIVE, Z, 4)
         data = page_to_json(relative_federer_e2(projective(2), t))
         assert data["-1,2"]["must_die"] is True
+
+
+@st.composite
+def pages(draw):
+    """A random complex, which may be disconnected or a point, a random table
+    of either variant and a prime set."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    variant = draw(st.sampled_from([ABSOLUTE, RELATIVE]))
+    a = random_complex(rng, max_top=4, max_rank=3)
+    table = random_table(rng, variant, q_max=rng.randint(TABLE_START[variant], 9), max_order=12)
+    return a, table, PrimeSet.of(*draw(st.sampled_from([(2,), (3,), (2, 3), (2, 5)])))
+
+
+# H^3(S^3; Z/3) sits only on the zero cell (-3, 1), so every cell is 2-primary
+SPHERE_Z3_BELOW = (sphere(3), HomotopyTable(ABSOLUTE, {q: FgAbGroup.cyclic(3 if q == 1 else 2)
+                                                       for q in range(1, 8)}, True),
+                   PrimeSet.of(2))
+# H_0 = Z/3 and H_1 = 0: the hypothesis holds, yet H^1(A; Z) = Z/3 fails on
+# the diagonal n = 1 alone, so the report walks the diagonals
+H0_Z3 = (ChainComplex("h0", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[3]])}),
+         HomotopyTable(ABSOLUTE, {1: Z2, 2: Z, 3: Z2, 4: Z2}, True), PrimeSet.of(2))
+
+
+class TestPageView:
+    @settings(max_examples=150, deadline=None)
+    @given(pages())
+    @example(SPHERE_Z3_BELOW)
+    @example(H0_Z3)
+    def test_view_matches_the_eager_grid(self, case):
+        a, table, primes = case
+        page = (federer_e2 if table.variant == ABSOLUTE else relative_federer_e2)(a, table)
+        eager = EagerPage(a, table)
+        (p_lo, p_hi), (q_lo, q_hi) = page.p_range, page.q_range
+        for n in range(q_lo - 2, q_hi + 3):
+            assert page.diagonal(n) == eager.diagonal(n), n
+            assert collapse_report(page, n) == reference_collapse_report(eager, n), n
+        for p in range(p_lo - 2, p_hi + 3):
+            for q in range(q_lo - 2, q_hi + 3):
+                assert page.group(p, q) == eager.group(p, q), (p, q)
+        assert "entries" not in vars(page)
+        assert list(page.entries.items()) == sorted(eager.entries.items(), key=lambda c: c[0])
+        if table.variant == ABSOLUTE:
+            report = torsion_class_check(a, table, primes)
+            assert report == reference_torsion_class_check(a, table, primes)
+        else:
+            with pytest.raises(ValueError):
+                torsion_class_check(a, table, primes)
+
+    def test_examples_decide_as_stated(self):
+        assert torsion_class_check(*SPHERE_Z3_BELOW).entries_in_class
+        report = torsion_class_check(*H0_Z3)
+        assert report.hypothesis_holds and not report.entries_in_class
+        assert report.diagonal_flags == {1: False, 2: True, 3: True}
+
+    def test_partial_readers_form_no_grid(self, monkeypatch):
+        table = constant_table(ABSOLUTE, Z2, 10_000)
+        made = []
+        monkeypatch.setattr(federer, "federer_e2",
+                            lambda a, t: made.append(federer_e2(a, t)) or made[-1])
+        report = federer.torsion_class_check(projective(8), table, PrimeSet.of(2))
+        assert report.entries_in_class and all(report.diagonal_flags.values())
+        page = federer_e2(projective(8), table)
+        assert collapse_report(page, 3).verdict == GRADED_UPPER_BOUNDS
+        for read in (made[0], page):
+            assert "entries" not in vars(read)
+        assert len(page.entries) == 8 * 10_000
 
 
 class TestCollapse:
