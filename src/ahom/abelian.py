@@ -340,47 +340,49 @@ def column_echelon(cols: list[Sequence[int]],
     The columns of W over the zero columns of H are a lattice basis of
     ker(m).  When `w` (one column per column of m) is given, the column
     operations are applied to it too, so it becomes w @ W; start it at the
-    identity to read off W.  A column is replaced, never changed in place,
-    so tuples serve as well as lists.
+    identity to read off W.  For the pass, each column of m and its column
+    of `w` are one list, so one comprehension does both.  A column is
+    replaced, never changed in place, so tuples serve as well as lists.
     """
     ncols = len(cols)
     rows = len(cols[0]) if cols else 0
-    track = w is not None
-    if not track:
-        w = [()] * ncols
+    if w is not None:
+        cols[:] = [[*c, *t] for c, t in zip(cols, w)]
     leads: list[int] = []
-
-    def eliminate(targets, j0):
-        # column j -= q * column j0 for each target j, q the quotient in this row
-        c0, w0 = cols[j0], w[j0]
-        for j in targets:
-            if j != j0:
-                q = cols[j][row] // c0[row]
-                if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], c0)]
-                    if track:
-                        w[j] = [x - q * y for x, y in zip(w[j], w0)]
-
     for row in range(rows):
-        next_pivot = len(leads)
-        if next_pivot >= ncols:
+        p = len(leads)
+        if p >= ncols:
             break
-        while True:
-            nz = [j for j in range(next_pivot, ncols) if cols[j][row]]
-            if len(nz) <= 1:
-                break
-            eliminate(nz, min(nz, key=lambda j: abs(cols[j][row])))
+        # Euclid steps on the columns nonzero in this row, in index order:
+        # only a reduced column changes, and one reduced to zero stays zero
+        nz = [j for j in range(p, ncols) if cols[j][row]]
+        while len(nz) > 1:
+            j0 = nz[0]  # the first column of least absolute entry in this row
+            for j in nz:
+                if abs(cols[j][row]) < abs(cols[j0][row]):
+                    j0 = j
+            c0, keep = cols[j0], []
+            for j in nz:
+                c = cols[j]
+                q = c[row] // c0[row] if j != j0 else 0
+                if q:
+                    cols[j] = c = [x - q * y for x, y in zip(c, c0)]
+                if c[row]:
+                    keep.append(j)
+            nz = keep
         if not nz:
             continue
-        j0 = nz[0]
-        if j0 != next_pivot:
-            cols[j0], cols[next_pivot] = cols[next_pivot], cols[j0]
-            w[j0], w[next_pivot] = w[next_pivot], w[j0]
-        if cols[next_pivot][row] < 0:
-            cols[next_pivot] = [-x for x in cols[next_pivot]]
-            w[next_pivot] = [-x for x in w[next_pivot]]
-        eliminate(range(next_pivot), next_pivot)
+        c0 = cols[nz[0]]  # the pivot goes to column p, made positive
+        cols[nz[0]] = cols[p]
+        cols[p] = c0 = c0 if c0[row] > 0 else [-x for x in c0]
+        for j in range(p):
+            q = cols[j][row] // c0[row]
+            if q:
+                cols[j] = [x - q * y for x, y in zip(cols[j], c0)]
         leads.append(row)
+    if w is not None:
+        w[:] = [c[rows:] for c in cols]
+        cols[:] = [c[:rows] for c in cols]
     return leads
 
 

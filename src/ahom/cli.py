@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .abelian import FgAbGroup, PrimeSet, canonical_int, parse_group
 from .ahomology import a_homology_range, axiom_checks, render_report, report_to_json
@@ -44,11 +45,13 @@ def _build_complex(recipe_text: str):
     return build(parse_recipe(recipe_text))
 
 
-def _emit(args, text: str, data) -> None:
+def _emit(args, text: Callable[[], str], data: Callable[[], object]) -> None:
+    """Print the one form `args.out` asks for.  Each form comes as a
+    zero-argument callable, so the other is never built."""
     if args.out == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(data(), indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _degree_table(args, compute, top: int) -> dict[int, FgAbGroup]:
@@ -60,8 +63,8 @@ def _degree_table(args, compute, top: int) -> dict[int, FgAbGroup]:
 def _cmd_homology(args) -> int:
     c = _build_complex(args.X)
     groups = _degree_table(args, lambda n: homology(c, n), c.top_degree)
-    text = "\n".join(f"H_{n}({c.name}) = {groups[n]}" for n in sorted(groups))
-    _emit(args, text, {str(n): str(g) for n, g in groups.items()})
+    _emit(args, lambda: "\n".join(f"H_{n}({c.name}) = {groups[n]}" for n in sorted(groups)),
+          lambda: {str(n): str(g) for n, g in groups.items()})
     return 0
 
 
@@ -69,8 +72,8 @@ def _cmd_cohomology(args) -> int:
     c = _build_complex(args.X)
     g = parse_group(args.coefficients)
     groups = _degree_table(args, lambda n: cohomology_uct(c, n, g), c.top_degree)
-    text = "\n".join(f"H^{n}({c.name}; {g}) = {groups[n]}" for n in sorted(groups))
-    _emit(args, text, {str(n): str(v) for n, v in groups.items()})
+    _emit(args, lambda: "\n".join(f"H^{n}({c.name}; {g}) = {groups[n]}" for n in sorted(groups)),
+          lambda: {str(n): str(v) for n, v in groups.items()})
     return 0
 
 
@@ -78,7 +81,7 @@ def _cmd_ahomology(args) -> int:
     a = _build_complex(args.A)
     x = _build_complex(args.X)
     report = a_homology_range(a, x)
-    _emit(args, render_report(report), report_to_json(report))
+    _emit(args, lambda: render_report(report), lambda: report_to_json(report))
     return 0 if not report.violations else 1
 
 
@@ -92,32 +95,34 @@ def _page_for(args):
 
 def _cmd_federer_e2(args) -> int:
     page = _page_for(args)
-    _emit(args, render_page(page), page_to_json(page))
+    _emit(args, lambda: render_page(page), lambda: page_to_json(page))
     return 0
 
 
 def _cmd_diagonal(args) -> int:
-    page = _page_for(args)
-    verdict = collapse_report(page, args.n)
-    lines = [f"diagonal n = {verdict.n}", f"verdict = {verdict.verdict}"]
-    if verdict.verdict == DETERMINED:
-        lines.append(f"group = {verdict.group}")
-    if verdict.surviving:
-        lines.append("surviving entries:")
-        lines.extend(f"  ({p},{q}) = {g} [{status}]"
-                     for p, q, g, status in verdict.surviving)
-    if verdict.notes:
-        lines.append("notes:")
-        lines.extend(f"  - {note}" for note in verdict.notes)
-    data = {
+    verdict = collapse_report(_page_for(args), args.n)
+
+    def text() -> str:
+        lines = [f"diagonal n = {verdict.n}", f"verdict = {verdict.verdict}"]
+        if verdict.verdict == DETERMINED:
+            lines.append(f"group = {verdict.group}")
+        if verdict.surviving:
+            lines.append("surviving entries:")
+            lines.extend(f"  ({p},{q}) = {g} [{status}]"
+                         for p, q, g, status in verdict.surviving)
+        if verdict.notes:
+            lines.append("notes:")
+            lines.extend(f"  - {note}" for note in verdict.notes)
+        return "\n".join(lines)
+
+    _emit(args, text, lambda: {
         "n": verdict.n,
         "verdict": verdict.verdict,
         "group": str(verdict.group) if verdict.group is not None else None,
         "surviving": [{"p": p, "q": q, "group": str(g), "status": status}
                       for p, q, g, status in verdict.surviving],
         "notes": list(verdict.notes),
-    }
-    _emit(args, "\n".join(lines), data)
+    })
     return 0
 
 
@@ -125,8 +130,8 @@ def _cmd_hopf_whitney(args) -> int:
     k = _build_complex(args.K)
     pi_n = parse_group(args.pi)
     result = hopf_whitney(k, pi_n, loop_space=args.loop_space)
-    text = f"[K,Y] = {result.group}\nstructure = {result.structure}"
-    _emit(args, text, {"group": str(result.group), "structure": result.structure})
+    _emit(args, lambda: f"[K,Y] = {result.group}\nstructure = {result.structure}",
+          lambda: {"group": str(result.group), "structure": result.structure})
     return 0
 
 
@@ -134,19 +139,17 @@ def _cmd_moore_ses(args) -> int:
     g = parse_group(args.G)
     table = load_homotopy_table(args.table)
     ses = moore_homotopy_ses(g, args.m, table, args.n)
-    text = "\n".join([
+    _emit(args, lambda: "\n".join([
         f"ext part = {ses.ext_part}",
         f"hom part = {ses.hom_part}",
         f"order product = {render_exponent(ses.order_product)}",
         f"exponent bound = {render_exponent(ses.exponent_bound)}",
-    ])
-    data = {
+    ]), lambda: {
         "ext_part": str(ses.ext_part),
         "hom_part": str(ses.hom_part),
         "order_product": render_exponent(ses.order_product),
         "exponent_bound": render_exponent(ses.exponent_bound),
-    }
-    _emit(args, text, data)
+    })
     return 0
 
 
@@ -162,25 +165,28 @@ def _cmd_torsion_check(args) -> int:
     table = load_homotopy_table(args.table)
     primes = _parse_primes(args.primes)
     report = torsion_class_check(a, table, primes)
-    lines = [f"primes = {report.primes}"]
-    if report.hypothesis_holds:
-        lines.append("hypothesis (all H_j(A), j >= 1, in the torsion class): holds")
-    else:
-        failing = ", ".join(str(j) for j in report.hypothesis_failures)
-        lines.append(f"hypothesis (all H_j(A), j >= 1, in the torsion class): "
-                     f"fails at degree(s) {failing}")
-    lines.append(f"all page entries in the class: {'yes' if report.entries_in_class else 'no'}")
-    for n in sorted(report.diagonal_flags):
-        state = "in the class" if report.diagonal_flags[n] else "not concluded"
-        lines.append(f"degree {n}: {state}")
-    data = {
+
+    def text() -> str:
+        lines = [f"primes = {report.primes}"]
+        if report.hypothesis_holds:
+            lines.append("hypothesis (all H_j(A), j >= 1, in the torsion class): holds")
+        else:
+            failing = ", ".join(str(j) for j in report.hypothesis_failures)
+            lines.append(f"hypothesis (all H_j(A), j >= 1, in the torsion class): "
+                         f"fails at degree(s) {failing}")
+        lines.append(f"all page entries in the class: {'yes' if report.entries_in_class else 'no'}")
+        for n in sorted(report.diagonal_flags):
+            state = "in the class" if report.diagonal_flags[n] else "not concluded"
+            lines.append(f"degree {n}: {state}")
+        return "\n".join(lines)
+
+    _emit(args, text, lambda: {
         "primes": sorted(report.primes.primes),
         "hypothesis_holds": report.hypothesis_holds,
         "hypothesis_failures": list(report.hypothesis_failures),
         "entries_in_class": report.entries_in_class,
         "diagonals": {str(n): flag for n, flag in report.diagonal_flags.items()},
-    }
-    _emit(args, "\n".join(lines), data)
+    })
     return 0
 
 
@@ -189,18 +195,16 @@ def _cmd_axioms(args) -> int:
     x = _build_complex(args.X)
     degrees = [args.n] if args.n is not None else list(range(0, x.top_degree + 2))
     checks = axiom_checks(a, x, degrees)
-    text = "\n".join(c.line() for c in checks)
-    data = [{"axiom": c.axiom, "holds": c.holds, "detail": c.detail,
-             "left": str(c.left), "right": str(c.right)} for c in checks]
-    _emit(args, text, data)
+    _emit(args, lambda: "\n".join(c.line() for c in checks),
+          lambda: [{"axiom": c.axiom, "holds": c.holds, "detail": c.detail,
+                    "left": str(c.left), "right": str(c.right)} for c in checks])
     return 0 if all(c.holds for c in checks) else 1
 
 
 def _cmd_corpus(args) -> int:
     results = run_all()
-    text = "\n".join(r.line() for r in results)
-    data = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    _emit(args, text, data)
+    _emit(args, lambda: "\n".join(r.line() for r in results),
+          lambda: [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -26,6 +26,7 @@ from ahom.abelian import (
     _is_prime,
     snf,
     solve,
+    split_pivots,
 )
 from ahom.corpus import random_complex, random_matrix
 from helpers import (
@@ -210,6 +211,67 @@ class TestAgainstReferencePass:
         m = IntMatrix.zeros(*shape)
         for certificate in (True, False):
             assert snf(m, certificate) == reference_snf(m, certificate)
+
+
+def assert_same_echelon(m: IntMatrix, t: IntMatrix | None, kind=tuple) -> None:
+    """column_echelon on the columns of m (and of t), each a `kind`, gives
+    the reference's H, W and leading rows, and leaves every column passed in
+    as it was: a column is replaced, never changed in place."""
+    cols = [kind(c) for c in columns(m)]
+    w = None if t is None else [kind(c) for c in columns(t)]
+    given_cols, given_w = list(cols), None if w is None else list(w)
+    snapshot = [tuple(c) for c in cols + (w or [])]
+    leads = column_echelon(cols, w)
+    assert [tuple(c) for c in given_cols + (given_w or [])] == snapshot
+    h, wm = reference_column_echelon(m, t)
+    assert [tuple(c) for c in cols] == columns(h)
+    if w is not None:
+        assert [tuple(c) for c in w] == columns(wm)
+    assert leads == [next(i for i, x in enumerate(c) if x) for c in columns(h) if any(c)]
+
+
+def columns(m: IntMatrix) -> list[tuple[int, ...]]:
+    return [tuple(row[j] for row in m.entries) for j in range(m.cols)]
+
+
+class TestBeyondReferenceShapes:
+    """column_echelon against its reference past the 9 x 9 of the tests
+    above: tall and wide matrices up to 24 on a side, transforms whose height
+    is not the column count, and the pivot-free residuals split_pivots
+    leaves, which are where the pass does its Euclid steps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_tall_and_wide(self, seed, tall):
+        rng = random.Random(seed)
+        long, short = rng.randint(10, 24), rng.randint(0, 9)
+        rows, cols = (long, short) if tall else (short, long)
+        bound, density = rng.choice([1, 10, 2**20]), rng.choice([0.2, 0.5, 1.0])
+        m = IntMatrix.from_rows([[rng.randint(-bound, bound) if rng.random() < density else 0
+                                  for _ in range(cols)] for _ in range(rows)], cols=cols)
+        height = rng.choice([None, 0, 1, cols + 3])
+        t = None if height is None else IntMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(height)], cols=cols)
+        assert_same_echelon(m, t, rng.choice([tuple, list]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_pivot_free_residuals(self, seed):
+        rng = random.Random(seed)
+        residuals = []
+        while not residuals:  # about one draw in four leaves a nonzero residual
+            c = random_complex(rng, max_rank=10)
+            d = {n: [list(row) for row in m.entries] for n, m in c.boundaries.items()}
+            split = split_pivots(d)
+            residuals = [IntMatrix.from_rows(rows, cols=c.ranks[n] - len(split[n])
+                                             - len(split.get(n + 1, ())))
+                         for n, rows in d.items() if any(map(any, rows))]
+        for m in residuals:
+            for a in (m, m.transpose()):
+                for t in (None, IntMatrix.zeros(0, a.cols), IntMatrix.identity(a.cols),
+                          IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(a.cols)]
+                                               for _ in range(a.cols + 3)], cols=a.cols)):
+                    assert_same_echelon(a, t, rng.choice([tuple, list]))
 
 
 def signed(bits: int):

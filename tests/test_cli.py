@@ -68,6 +68,20 @@ class TestVerbs:
         data = json.loads(out)
         assert data["-2,3"] == {"group": "Z/2", "status": "exact"}
 
+    @pytest.mark.parametrize("out, built, unbuilt", [("text", "render_page", "page_to_json"),
+                                                     ("json", "page_to_json", "render_page")])
+    def test_federer_page_builds_only_the_asked_form(self, capsys, monkeypatch, table_file,
+                                                     out, built, unbuilt):
+        from ahom import cli
+
+        def refuse(page):
+            raise AssertionError(f"{unbuilt} called for --out {out}")
+
+        monkeypatch.setattr(cli, unbuilt, refuse)
+        code, printed, _ = run(capsys, "federer-e2", "--A", "rp:2", "--table", table_file,
+                               "--out", out)
+        assert code == 0 and printed.strip()
+
     def test_diagonal(self, capsys, table_file):
         code, out, _ = run(capsys, "diagonal", "--A", "rp:2",
                            "--table", table_file, "--n", "2")
