@@ -12,9 +12,9 @@ is exact, not modular.  The two central objects are
   isomorphic exactly when they compare equal.
 
 On top of those sit the column Hermite form and the lattice utilities built
-on it (kernels, exact linear solving), the Smith normal form
-(:func:`snf`, certified or transform-free for :func:`cokernel`), and
-the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
+on it (kernels, exact linear solving), the Smith normal form (:func:`snf`,
+certified or transform-free; it keeps the diagonal and derives S on read),
+and the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
 every homology computation downstream.  :func:`split_pivots`, the one search
 for divisor pivots, splits them off a whole chain complex at once; then
 :func:`residual_cokernel` ends both :func:`cokernel` and homology in ``chains``.
@@ -37,6 +37,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import add, and_, itemgetter, mod, mul, rshift
 from typing import Iterable, Sequence
@@ -142,8 +143,8 @@ class IntMatrix:
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         r = len(diag) if rows is None else rows
         c = len(diag) if cols is None else cols
-        zero = (0,) * c
-        return cls(r, c, tuple(zero[:i] + (diag[i],) + zero[i + 1:] if i < min(len(diag), c)
+        zero = (0,) * c  # rows are unpacked: joining slices by + peaks higher at 2,000 rows
+        return cls(r, c, tuple((*zero[:i], diag[i], *zero[i + 1:]) if i < min(len(diag), c)
                                else zero for i in range(r)))
 
     # -- queries ------------------------------------------------------
@@ -246,20 +247,19 @@ _ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}  # array typecode
 class SmithDecomposition:
     """Certificate U @ source @ V == S with U, V unimodular and S diagonal.
 
-    The diagonal of S is nonnegative, each entry divides the next, and all
-    zero entries trail the nonzero ones.  U and V are empty (rows x 0 and
-    0 x cols) when :func:`snf` ran without a certificate.
+    It holds U, V and the diagonal, and builds S from them when first read.
+    The diagonal is nonnegative, each entry divides the next, and zeros trail.
+    U and V are empty (rows x 0 and 0 x cols) without a certificate.
     """
 
     U: IntMatrix
-    S: IntMatrix
+    diagonal: tuple[int, ...]
     V: IntMatrix
     source: IntMatrix
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.S.rows, self.S.cols)
-        return tuple(self.S.entries[i][i] for i in range(n))
+    @cached_property
+    def S(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.diagonal, self.source.rows, self.source.cols)
 
     @property
     def rank(self) -> int:
@@ -275,8 +275,8 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     one transpose turns the columns into the rows the row pass works on.
     Column operations go straight to V, row operations to the rows of U, so
     no transform product is formed; Hermite steps keep the entries
-    determinant-bounded.  Without a certificate no transform is tracked and
-    U and V come back empty (rows x 0 and 0 x cols); :func:`cokernel` runs so.
+    determinant-bounded.  Without a certificate, as :func:`cokernel` runs, they
+    start as zero-length columns and U and V come back empty.  S is built on read.
 
     The divisor chain is then closed in one pass: each pair (a, b) with a
     not dividing b becomes (gcd, lcm) by one 2x2 unimodular transform on U
@@ -284,8 +284,8 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     """
     rows, cols = m.rows, m.cols
     a = _transpose(m.entries, cols)
-    vcols = _unit_vectors(cols) if certificate else None
-    urows = _unit_vectors(rows) if certificate else None
+    start = _unit_vectors if certificate else lambda n: [()] * n
+    vcols, urows = start(cols), start(rows)
     while True:
         column_echelon(a, vcols)
         a = _transpose(a, rows)
@@ -296,8 +296,6 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     # both echelon passes sort zero columns/rows to the back and make pivots
     # positive, so the diagonal is a positive prefix followed by zeros
     diag = [a[i][i] for i in range(min(rows, cols))]
-    if not certificate:
-        urows, vcols = [()] * rows, [()] * cols
     for i in range(len(diag)):
         if diag[i] < 2:  # 0 and 1 are never changed by a pair
             continue
@@ -321,7 +319,7 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
             diag[i], diag[j] = g, x * q
     n, k = (rows, cols) if certificate else (0, 0)  # U is rows x n, V is k x cols
     return SmithDecomposition(U=IntMatrix(rows, n, tuple(map(tuple, urows))),
-                              S=IntMatrix.diagonal(diag, rows, cols),
+                              diagonal=tuple(diag),
                               V=IntMatrix(k, cols, tuple(_transpose(vcols, k))), source=m)
 
 
@@ -341,12 +339,13 @@ def column_echelon(cols: list[Sequence[int]],
     ker(m).  When `w` (one column per column of m) is given, the column
     operations are applied to it too, so it becomes w @ W; start it at the
     identity to read off W.  For the pass, each column of m and its column
-    of `w` are one list, so one comprehension does both.  A column is
-    replaced, never changed in place, so tuples serve as well as lists.
+    of `w` are one list, so one comprehension does both; zero-length columns
+    of `w` are left as they are.  A column is replaced, never changed in
+    place, so tuples serve as well as lists.
     """
     ncols = len(cols)
     rows = len(cols[0]) if cols else 0
-    if w is not None:
+    if w and w[0]:
         cols[:] = [[*c, *t] for c, t in zip(cols, w)]
     leads: list[int] = []
     for row in range(rows):
@@ -380,7 +379,7 @@ def column_echelon(cols: list[Sequence[int]],
             if q:
                 cols[j] = [x - q * y for x, y in zip(cols[j], c0)]
         leads.append(row)
-    if w is not None:
+    if w and w[0]:
         w[:] = [c[rows:] for c in cols]
         cols[:] = [c[:rows] for c in cols]
     return leads

@@ -155,7 +155,8 @@ class BigradedPage:
 
 def _assemble_page(a: ChainComplex, table: HomotopyTable, variant: str) -> BigradedPage:
     if table.variant != variant:
-        raise ValueError(f"expected a {variant} homotopy table, got {table.variant}")
+        raise ValueError(f"expected a homotopy table of the {variant} variant, "
+                         f"got the {table.variant} variant")
     if not table.abelian_assumption:
         fundamental = "pi_1(Y)" if variant == ABSOLUTE else "pi_2(Y, B)"
         raise RefusedHypothesis(

@@ -74,21 +74,11 @@ def moore(group: FgAbGroup, m: int) -> ChainComplex:
     pair with boundary d for each torsion factor Z/d."""
     if m < 1:
         raise RecipeError("moore degree must be >= 1")
-    r = group.free_rank
-    torsion = group.invariant_factors
+    r, torsion = group.free_rank, group.invariant_factors
     t = len(torsion)
     name = f"moore:{group}:{m}".replace(" ", "")
-    if r + t == 0:
-        return ChainComplex(name, {}, {})
-    ranks = {m: r + t}
-    boundaries = {}
-    if t:
-        ranks[m + 1] = t
-        boundaries[m + 1] = IntMatrix.from_rows(
-            [[torsion[j] if i == r + j else 0 for j in range(t)]
-             for i in range(r + t)],
-            cols=t)
-    return ChainComplex(name, ranks, boundaries)
+    boundary = IntMatrix(r + t, t, ((0,) * t,) * r + IntMatrix.diagonal(torsion).entries)
+    return ChainComplex(name, {m: r + t, m + 1: t}, {m + 1: boundary})
 
 
 def projective(n: int) -> ChainComplex:

@@ -546,7 +546,7 @@ def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
             diag[i], diag[j] = g, x * q
     return SmithDecomposition(
         U=IntMatrix(rows, ut.rows, tuple(tuple(r) for r in urows)),
-        S=IntMatrix.diagonal(diag, rows, cols),
+        diagonal=tuple(diag),
         V=IntMatrix(v.rows, cols, tuple(zip(*vcols))),
         source=m)
 

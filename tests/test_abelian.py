@@ -489,6 +489,9 @@ class TestCokernel:
         m = random_matrix(random.Random(seed), max_dim=max_dim)
         bare = snf(m, certificate=False)
         assert bare.S == snf(m).S and bare.source is m
+        # S is derived from the diagonal once, and then kept
+        assert bare.S is bare.S
+        assert bare.S == IntMatrix.diagonal(bare.diagonal, m.rows, m.cols)
         assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (m.rows, 0, 0, m.cols)
 
     def test_empty_shapes(self):

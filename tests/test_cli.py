@@ -309,6 +309,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "2^64" in err
 
+    def test_relative_table_on_an_absolute_page_is_two(self, capsys):
+        table = Path(__file__).parent / "golden" / "rel-table.json"
+        code, out, err = run(capsys, "torsion-check", "--A", "rp:2",
+                             "--table", str(table), "--primes", "2")
+        assert (code, out) == (2, "")
+        assert "the absolute variant" in err and "the relative variant" in err
+        assert "Traceback" not in err
+
     def test_unknown_verb_is_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ahom.abelian import FgAbGroup
-from ahom.chains import homology, load_complex, suspension, wedge
+from ahom.abelian import FgAbGroup, IntMatrix
+from ahom.chains import ChainComplex, homology, load_complex, suspension, wedge
 from ahom.spaces import (
     RecipeError,
     build,
@@ -74,6 +76,28 @@ class TestBuild:
     def test_moore_of_trivial_group(self):
         c = moore(FgAbGroup.trivial(), 2)
         assert c.ranks == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.integers(2, 30), max_size=8), st.integers(1, 5))
+    @example(0, [], 1)  # the trivial group
+    @example(3, [], 5)  # free only
+    def test_moore_equals_the_entrywise_construction(self, r, orders, m):
+        group = FgAbGroup.of(r, orders)
+        torsion = group.invariant_factors
+        t = len(torsion)
+        name = f"moore:{group}:{m}".replace(" ", "")
+        if r + t == 0:
+            ref = ChainComplex(name, {}, {})
+        else:
+            ranks, boundaries = {m: r + t}, {}
+            if t:
+                ranks[m + 1] = t
+                boundaries[m + 1] = IntMatrix.from_rows(
+                    [[torsion[j] if i == r + j else 0 for j in range(t)]
+                     for i in range(r + t)],
+                    cols=t)
+            ref = ChainComplex(name, ranks, boundaries)
+        assert moore(group, m) == ref
 
     def test_s_zero(self):
         c = sphere(0)
