@@ -3,7 +3,9 @@
 Everything here works with unbounded Python integers; there is no floating
 point and no modular shortcut anywhere.  The one packed computation,
 :func:`composite_is_zero`, takes its digit width from the entry bounds, so it
-is exact, not modular.  The two central objects are
+is exact, not modular: each digit is an entry in two's complement, 64 bits
+per 8-byte `array` item, and one borrow per row makes the packing exact.
+The two central objects are
 
 * :class:`IntMatrix` -- an immutable integer matrix, the substrate for all
   boundary/relation data, and
@@ -39,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import add, and_, itemgetter, mod, mul, rshift
+from operator import and_, itemgetter, mod, mul, rshift
 from typing import Iterable, Sequence
 
 
@@ -206,37 +208,34 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> b
     matching row of a @ b, packed the same way.  Every entry of a @ b is at
     most a.cols * max|a| * max|b| < 2^(w-1) in absolute value, so a packed
     row is zero exactly when each of its digits is: the test is exact.
-    A digit is one item of an `array` of 1, 2, 4 or 8 bytes, sized from that
-    bound, or as many 8-byte limbs as a wider one needs.  `bound`, when
-    given, is max|a| * max|b|.
+    A digit is the entry in w-bit two's complement, w a multiple of 64: one
+    signed 8-byte `array` item, or as many unsigned 8-byte limbs, low limb
+    first, as a wider one needs.  The row's bytes read as one unsigned
+    integer, less 2^w at the digit above each negative digit, are its exact
+    packing.  `bound`, when given, is max|a| * max|b|.
     """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     bound = a.cols * (a.max_abs() * b.max_abs() if bound is None else bound)
     if not bound:
         return True
-    nbytes = bound.bit_length() // 8 + 1  # so 2^(8*nbytes-1) > bound
-    size = min(8, 1 << (nbytes - 1).bit_length())  # bytes per array item
-    limbs, code, bits = -(-nbytes // size), _ITEM_CODES[size], 8 * size
-    half = 1 << (bits * limbs - 1)  # shifts every digit of b into [0, 2^w)
-    digits = array(code, bytes(size * limbs * b.cols))
+    limbs = bound.bit_length() // 64 + 1
+    w = 64 * limbs  # so 2^(w-1) > bound
+    ones = int.from_bytes((b"\1" + bytes(8 * limbs - 1)) * b.cols, "little")  # 1 in each digit
+    digits = array("Q", bytes(8 * limbs * b.cols))
     packed = []
-    for row in (*b.entries, (1 - half,) * b.cols):  # the last packs to the sum of 2^(w*j)
-        values = map(add, row, repeat(half))
-        for limb in range(limbs - 1):  # low limbs first
-            values = list(values)
-            digits[limb::limbs] = array(code, map(and_, values, repeat((1 << bits) - 1)))
-            values = map(rshift, values, repeat(bits))
-        digits[limbs - 1::limbs] = array(code, values)
-        if sys.byteorder == "big":  # items are native-endian; each row rewrites them all
+    for row in b.entries:
+        if limbs == 1:
+            digits = array("q", row)
+        else:
+            for limb in range(limbs):  # low limb first; the top one carries the sign
+                digits[limb::limbs] = array("Q", map(and_, map(rshift, row, repeat(64 * limb)),
+                                                     repeat((1 << 64) - 1)))
+        if sys.byteorder == "big":  # items are native-endian
             digits.byteswap()
-        packed.append(int.from_bytes(digits, "little"))
-    shift = half * packed.pop()
-    return not any(sum(map(mul, compress(row, row), compress(packed, row))) - shift * sum(row)
-                   for row in a.entries)
-
-
-_ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}  # array typecodes by size
+        u = int.from_bytes(digits, "little")
+        packed.append(u - ((u >> (w - 1) & ones) << w))  # the borrow of each negative digit
+    return not any(sum(map(mul, compress(row, row), compress(packed, row))) for row in a.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,11 @@ class ChainComplex:
     not an int is a TypeError, and all invariants (matching shapes
     and the d*d = 0 law) are checked at construction; zero ranks and zero
     matrices are normalized away.  The d*d = 0 test packs each row of the
-    upper boundary into one integer (:func:`~ahom.abelian.composite_is_zero`),
-    which is exact and forms no product matrix; the product is formed only
-    when the test fails, to name the first nonzero entry.  Each boundary's
-    largest |entry| is found once and serves both tests it takes part in.
+    upper boundary into one integer of two's-complement 64-bit-limb digits
+    (:func:`~ahom.abelian.composite_is_zero`), exact and with no product
+    matrix; the product is formed only when the test fails, to name the
+    first nonzero entry.  Each boundary's largest |entry| is found once and
+    serves both tests it takes part in.
     """
 
     name: str

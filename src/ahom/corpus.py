@@ -212,10 +212,6 @@ def _snf_certificate_ok(m: IntMatrix) -> bool:
         return False
     if abs(dec.U.det()) != 1 or abs(dec.V.det()) != 1:
         return False
-    for i in range(dec.S.rows):
-        for j in range(dec.S.cols):
-            if i != j and dec.S.entries[i][j]:
-                return False
     diag = dec.diagonal
     seen_zero = False
     prev = None

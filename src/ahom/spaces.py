@@ -77,8 +77,9 @@ def moore(group: FgAbGroup, m: int) -> ChainComplex:
     r, torsion = group.free_rank, group.invariant_factors
     t = len(torsion)
     name = f"moore:{group}:{m}".replace(" ", "")
-    boundary = IntMatrix(r + t, t, ((0,) * t,) * r + IntMatrix.diagonal(torsion).entries)
-    return ChainComplex(name, {m: r + t, m + 1: t}, {m + 1: boundary})
+    zeros = ((0,) * t,) * r  # the rows of the free m-cells
+    boundary = {m + 1: IntMatrix(r + t, t, zeros + IntMatrix.diagonal(torsion).entries)} if t else {}
+    return ChainComplex(name, {m: r + t, m + 1: t}, boundary)
 
 
 def projective(n: int) -> ChainComplex:

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahom.abelian import (
@@ -278,6 +278,32 @@ def signed(bits: int):
     return st.integers(-(2**bits), 2**bits)
 
 
+def signed_row_cases():
+    """(a rows, b rows) pairs whose two's-complement digits borrow: b rows all
+    negative, alternating, or negative in the last column, which borrows out
+    of the top digit, at magnitudes on the one-, two- and three-limb widths.
+    Each row gives zero and nonzero products, some with one nonzero entry."""
+    for magnitude in (2**62, 2**63 - 1, 2**63, 2**64, 2**127, 2**128):
+        for signs in ((-1, -1, -1), (1, -1, 1), (1, 1, -1)):
+            row = [s * magnitude for s in signs]
+            for k in (1, magnitude):
+                yield [[k, -k]], [row, row]
+                yield [[k, k]], [row, [-x for x in row]]
+                yield [[k, k]], [row, row]
+                yield [[k]], [row]
+                for j in range(3):
+                    yield [[k, -k]], [row, [x - (c == j) for c, x in enumerate(row)]]
+
+
+def with_examples(cases):
+    """Hypothesis's @example once per case."""
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 class TestCompositeIsZero:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 100), st.booleans())
@@ -298,6 +324,7 @@ class TestCompositeIsZero:
             b = IntMatrix.from_rows(rows)
         assert composite_is_zero(a, b) == (a @ b).is_zero()
 
+    @with_examples(signed_row_cases())
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda k: st.tuples(
         st.lists(st.lists(signed(100), min_size=k, max_size=k), max_size=4),
@@ -352,8 +379,8 @@ class TestCompositeIsZero:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_packed_entry_at_a_power_of_two(self, bits, sign):
         # with a = [[1]] the bound is |b| itself: 2^bits must still fit its
-        # digit once shifted by half the digit range, at every array item
-        # size and across limbs
+        # digit as a w-bit two's-complement value, in one 64-bit limb and
+        # across two and three
         b = IntMatrix.from_rows([[sign * 2**bits, 0, sign]])
         assert not composite_is_zero(IntMatrix.from_rows([[1]]), b)
 

@@ -9,6 +9,7 @@ command-line `corpus` verb.
 import pytest
 
 from ahom import corpus
+from ahom.abelian import IntMatrix, SmithDecomposition
 
 CRITERIA = [
     ("01-sphere-formula", corpus.check_sphere_formula),
@@ -38,3 +39,16 @@ def test_corpus_verb_runs_everything(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == len(CRITERIA)
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("m_rows, u_rows, diagonal", [
+    ([[1, 1], [0, 1]], [[1, 0], [0, 1]], (1, 1)),  # U @ m @ V has an off-diagonal entry
+    ([[1, 0], [0, 1]], [[1, 0], [0, 2]], (1, 2)),  # U has determinant 2
+    ([[2, 0], [0, 3]], [[1, 0], [0, 1]], (2, 3)),  # 2 does not divide 3
+], ids=["off-diagonal", "det-2", "broken-chain"])
+def test_snf_certificate_check_rejects_a_bad_decomposition(monkeypatch, m_rows, u_rows, diagonal):
+    m, identity = IntMatrix.from_rows(m_rows), IntMatrix.from_rows([[1, 0], [0, 1]])
+    bad = SmithDecomposition(IntMatrix.from_rows(u_rows), diagonal, identity, m)
+    assert corpus._snf_certificate_ok(m)
+    monkeypatch.setattr(corpus, "snf", lambda _: bad)
+    assert not corpus._snf_certificate_ok(m)

@@ -51,8 +51,9 @@ class TestValidation:
     def test_d_squared_message_names_the_first_nonzero_entry(self, seed):
         rng = random.Random(seed)
         r0, r1, r2 = (rng.randint(1, 4) for _ in range(3))
-        d1 = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r1)] for _ in range(r0)])
-        d2 = IntMatrix.from_rows([[rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(r2)]
+        big1, big2 = (rng.choice([3, 3, 2**70]) for _ in range(2))  # some digits span two limbs
+        d1 = IntMatrix.from_rows([[rng.randint(-big1, big1) for _ in range(r1)] for _ in range(r0)])
+        d2 = IntMatrix.from_rows([[rng.choice([0, 0, rng.randint(-big2, big2)]) for _ in range(r2)]
                                   for _ in range(r1)])
         comp = d1 @ d2
         bad = [(i, j, x) for i, row in enumerate(comp.entries) for j, x in enumerate(row) if x]
