@@ -38,11 +38,11 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import and_, itemgetter, mod, mul, rshift
-from typing import Iterable, Sequence
 
 
 class GroupParseError(ValueError):
@@ -96,26 +96,24 @@ def canonical_int(text: str, what: str, error: type[ValueError] = ValueError) ->
 # Integer matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """An immutable rows x cols integer matrix (row-major).
 
     Empty matrices (zero rows and/or zero columns) are legal and represent
     maps to or from the trivial group.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError(f"expected {self.cols} columns, got {len(row)}")
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} columns, got {len(row)}")
+        return tuple.__new__(cls, (rows, cols, entries))
 
     # -- constructors -------------------------------------------------
 
@@ -242,19 +240,13 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> b
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U diagonal V source")):
     """Certificate U @ source @ V == S with U, V unimodular and S diagonal.
 
     It holds U, V and the diagonal, and builds S from them when first read.
     The diagonal is nonnegative, each entry divides the next, and zeros trail.
     U and V are empty (rows x 0 and 0 x cols) without a certificate.
     """
-
-    U: IntMatrix
-    diagonal: tuple[int, ...]
-    V: IntMatrix
-    source: IntMatrix
 
     @cached_property
     def S(self) -> IntMatrix:
@@ -437,8 +429,7 @@ def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(namedtuple("FgAbGroup", "free_rank invariant_factors")):
     """Canonical form: Z^free_rank + Z/d1 + ... + Z/dk with d1 | d2 | ... | dk.
 
     Every factor is >= 2 and the divisor chain makes the representation
@@ -450,23 +441,19 @@ class FgAbGroup:
     Z^2 + Z/2 + Z/6
     """
 
-    free_rank: int = 0
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if require_int(self.free_rank, "free rank") < 0:
+    def __new__(cls, free_rank: int = 0, invariant_factors: tuple[int, ...] = ()):
+        if require_int(free_rank, "free rank") < 0:
             raise ValueError("free rank must be nonnegative")
         prev = None
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if require_int(d, "invariant factor") < 2:
                 raise ValueError(f"invariant factor {d} is not >= 2")
             if prev is not None and d % prev:
                 raise ValueError(f"broken divisor chain: {prev} does not divide {d}")
             prev = d
-        object.__setattr__(self, "_hash", hash((self.free_rank, self.invariant_factors)))
-
-    def __hash__(self) -> int:  # computed once: groups key the memos
-        return self._hash
+        return tuple.__new__(cls, (free_rank, invariant_factors))
 
     # -- constructors -------------------------------------------------
 
@@ -711,18 +698,18 @@ def _is_prime(n: int) -> bool:
                for a in _WITNESSES)
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(namedtuple("PrimeSet", "primes")):
     """A finite set of primes below 2^64; membership is validated at construction."""
 
-    primes: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.primes:
+    def __new__(cls, primes: frozenset[int]):
+        for p in primes:
             if p >= PRIME_LIMIT:
                 raise ValueError(f"prime of {len(str(p))} digits is past the limit 2^64")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        return tuple.__new__(cls, (primes,))
 
     @classmethod
     def of(cls, *primes: int) -> "PrimeSet":

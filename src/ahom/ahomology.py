@@ -18,8 +18,8 @@ mathematics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .abelian import FgAbGroup, direct_sum, ext, hom
 from .chains import ChainComplex, cohomology_uct, homology, suspension, wedge
@@ -40,24 +40,21 @@ def a_homology(a: ChainComplex, x: ChainComplex, n: int) -> FgAbGroup:
                        if j >= 1 and 0 <= j - n <= a.top_degree])
 
 
-@dataclass(frozen=True)
-class AHomologyReport:
+class AHomologyReport(namedtuple("AHomologyReport",
+                                 "a_name x_name range groups assumptions violations",
+                                 defaults=((),))):
     """Shaped homology of x over all degrees, with the vanishing window.
 
     `groups` holds every degree from 0 to dim x + 1, trivial ones included.
     `range` is the closed degree interval outside which every group must be
     trivial, derived from the homological connectivity and dimension of both
-    complexes; an empty window is (0, -1).  `violations` lists degrees where
-    a computed group escapes the window -- that list must stay empty, and a
-    nonempty one signals an internal inconsistency.
+    complexes; an empty window is (0, -1).  `assumptions` are notes on the
+    inputs.  `violations` lists degrees where a computed group escapes the
+    window -- that tuple must stay empty, and a nonempty one signals an
+    internal inconsistency.
     """
 
-    a_name: str
-    x_name: str
-    range: tuple[int, int]
-    groups: dict[int, FgAbGroup]
-    assumptions: tuple[str, ...]
-    violations: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def a_homology_range(a: ChainComplex, x: ChainComplex) -> AHomologyReport:
@@ -116,14 +113,10 @@ def report_to_json(report: AHomologyReport) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(namedtuple("AxiomCheck", "axiom left right detail")):
     """Outcome of one homology-theory axiom instance: both sides rendered."""
 
-    axiom: str
-    left: FgAbGroup
-    right: FgAbGroup
-    detail: str
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -166,8 +159,7 @@ def axiom_checks(a: ChainComplex, x: ChainComplex, degrees: Sequence[int]) -> li
     return [check for pair in pairs for check in pair]
 
 
-@dataclass(frozen=True)
-class MooreHomologySes:
+class MooreHomologySes(namedtuple("MooreHomologySes", "ext_part hom_part middle")):
     """The two end terms of the Moore-coefficient short exact sequence and
     the middle group as the formula computes it.
 
@@ -176,9 +168,7 @@ class MooreHomologySes:
     product of the end orders, but the extension itself is not resolved.
     """
 
-    ext_part: FgAbGroup
-    hom_part: FgAbGroup
-    middle: FgAbGroup
+    __slots__ = ()
 
 
 def moore_a_homology_ses(g: FgAbGroup, m: int, x: ChainComplex, n: int) -> MooreHomologySes:

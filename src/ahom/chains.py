@@ -31,10 +31,10 @@ cokernel and zero rows or columns only its free part, so absent boundaries build
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 from .abelian import (MAX_SUMMANDS, FgAbGroup, IntMatrix, canonical_int, cokernel,
                       column_echelon, composite_is_zero, ext_orders, hom_orders,
@@ -69,8 +69,7 @@ class DSquaredError(InvalidComplexError):
     """Some composite of consecutive boundary maps is nonzero."""
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(namedtuple("ChainComplex", "name ranks boundaries")):
     """Reduced cellular chain data: cell counts and boundary degree matrices.
 
     `boundaries[n]` is the map from n-chains to (n-1)-chains, with
@@ -85,22 +84,15 @@ class ChainComplex:
     serves both tests it takes part in.
     """
 
-    name: str
-    ranks: dict[int, int]
-    boundaries: dict[int, IntMatrix]
-
-    def __post_init__(self):
-        ranks: dict[int, int] = {}
-        for n, r in self.ranks.items():
+    def __new__(cls, name: str, ranks: dict[int, int], boundaries: dict[int, IntMatrix]):
+        for n, r in ranks.items():
             if require_int(n, "degree") < 0:
                 raise InvalidComplexError(f"cells in negative degree {n}")
             if require_int(r, "cell count") < 0:
                 raise InvalidComplexError(f"negative cell count at degree {n}")
-            if r:
-                ranks[n] = r
-        boundaries: dict[int, IntMatrix] = {}
+        ranks = {n: r for n, r in ranks.items() if r}
         bounds: dict[int, int] = {}  # max |entry| of each nonzero boundary
-        for n, mat in self.boundaries.items():
+        for n, mat in boundaries.items():
             require_int(n, "boundary degree")
             want = (ranks.get(n - 1, 0), ranks.get(n, 0))
             if (mat.rows, mat.cols) != want:
@@ -109,7 +101,8 @@ class ChainComplex:
                     f"expected {want[0]}x{want[1]}")
             bound = mat.max_abs()
             if bound:
-                boundaries[n], bounds[n] = mat, bound
+                bounds[n] = bound
+        boundaries = {n: boundaries[n] for n in bounds}
         for n in sorted(boundaries):
             upper = boundaries.get(n + 1)
             if upper is None:
@@ -121,8 +114,7 @@ class ChainComplex:
                            for j, x in enumerate(row) if x)
             raise DSquaredError(f"boundary composite at degree {n + 1} is nonzero: "
                                 f"entry ({i},{j}) = {x}")
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "boundaries", boundaries)
+        return tuple.__new__(cls, (name, ranks, boundaries))
 
     @property
     def top_degree(self) -> int:

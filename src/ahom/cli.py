@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .abelian import FgAbGroup, PrimeSet, canonical_int, parse_group
 from .ahomology import a_homology_range, axiom_checks, render_report, report_to_json

@@ -9,7 +9,7 @@ equalities with zero tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abelian import (
     FgAbGroup,
@@ -129,11 +129,8 @@ def connected_complex(rng: random.Random, **kwargs) -> ChainComplex:
 # Named checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"

@@ -29,7 +29,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .abelian import (
@@ -73,8 +73,7 @@ class TableRangeMiss(RefusedHypothesis):
     """A computation needs homotopy groups beyond the supplied table."""
 
 
-@dataclass(frozen=True)
-class HomotopyTable:
+class HomotopyTable(namedtuple("HomotopyTable", "variant entries abelian_assumption")):
     """Caller-supplied homotopy groups over a contiguous degree range.
 
     Absolute tables start at q = 1 and stand for pi_q(Y); relative tables
@@ -83,19 +82,19 @@ class HomotopyTable:
     page construction cannot verify and refuses to run without.
     """
 
-    variant: str
-    entries: dict[int, FgAbGroup]
-    abelian_assumption: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in TABLE_START:
-            raise ValueError(f"unknown table variant {self.variant!r}")
-        if not self.entries:
+    def __new__(cls, variant: str, entries: dict[int, FgAbGroup], abelian_assumption: bool):
+        if variant not in TABLE_START:
+            raise ValueError(f"unknown table variant {variant!r}")
+        if not entries:
             raise ValueError("homotopy table must not be empty")
-        keys = sorted(self.entries)
-        if keys[0] != self.q_min or keys[-1] - keys[0] + 1 != len(keys):
+        keys = sorted(entries)
+        q_min = TABLE_START[variant]
+        if keys[0] != q_min or keys[-1] - keys[0] + 1 != len(keys):
             raise ValueError(
-                f"{self.variant} table must cover a contiguous range starting at {self.q_min}")
+                f"{variant} table must cover a contiguous range starting at {q_min}")
+        return tuple.__new__(cls, (variant, entries, abelian_assumption))
 
     @property
     def q_min(self) -> int:
@@ -109,17 +108,10 @@ class HomotopyTable:
 TRIVIAL = FgAbGroup.trivial()
 
 
-@dataclass(frozen=True)
-class BigradedPage:
-    """The second page of the shape complex `a` and the table groups `pi`,
-    over the cells p_range x q_range; a cell's group is derived when read,
-    and its status follows from p + q and the variant alone."""
-
-    variant: str
-    p_range: tuple[int, int]
-    q_range: tuple[int, int]
-    a: ChainComplex
-    pi: dict[int, FgAbGroup]
+class BigradedPage(namedtuple("BigradedPage", "variant p_range q_range a pi")):
+    """The second page of the shape complex `a` and the table groups `pi`
+    (a dict by q), over the cells p_range x q_range; a cell's group is
+    derived when read, and its status follows from p + q and the variant alone."""
 
     @cached_property
     def entries(self) -> dict[tuple[int, int], FgAbGroup]:
@@ -188,21 +180,19 @@ def relative_federer_e2(a: ChainComplex, table: HomotopyTable) -> BigradedPage:
 # Collapse analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalVerdict:
+class DiagonalVerdict(namedtuple("DiagonalVerdict", "n surviving verdict group notes",
+                                 defaults=(None, ()))):
     """What position analysis alone can say about one total degree.
 
+    `surviving` holds a (p, q, group, status) tuple per nonzero cell, and
+    `group` is the limit when the verdict pins it, else None.
     `determined` needs a single surviving exact entry (or none at all, which
     pins the limit to the trivial group) with every differential endpoint
     dead; several survivors only ever yield associated-graded upper bounds,
     because no differential or extension data is computed.
     """
 
-    n: int
-    surviving: tuple[tuple[int, int, FgAbGroup, str], ...]  # (p, q, group, status)
-    verdict: str
-    group: FgAbGroup | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def collapse_report(page: BigradedPage, n: int) -> DiagonalVerdict:
@@ -248,10 +238,10 @@ def collapse_report(page: BigradedPage, n: int) -> DiagonalVerdict:
 # Hopf-Whitney calculators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HopfWhitneyResult:
-    group: FgAbGroup
-    structure: str  # GROUP_VALUED or SET_VALUED
+class HopfWhitneyResult(namedtuple("HopfWhitneyResult", "group structure")):
+    """The group, and whether [K, Y] is one: `structure` is GROUP_VALUED or SET_VALUED."""
+
+    __slots__ = ()
 
 
 def hopf_whitney(k: ChainComplex, pi_n: FgAbGroup,
@@ -284,20 +274,18 @@ def relative_hopf_whitney(k: ChainComplex, pi_rel: FgAbGroup) -> FgAbGroup:
 # Moore-coefficient bounds on homotopy groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MooreHomotopySes:
+class MooreHomotopySes(namedtuple("MooreHomotopySes",
+                                  "ext_part hom_part order_product exponent_bound")):
     """End terms of the short exact sequence around pi_n shaped by a Moore
     space: Ext(g, pi_(n+m+1)) feeds in, Hom(g, pi_(n+m)) projects out.
 
     The middle group itself is not claimed; `order_product` and
     `exponent_bound` are the consequences that are: the middle has exactly
-    that order (finite case) and exponent dividing the bound.
+    that order (finite case) and exponent dividing the bound; each is an
+    int, or math.inf.
     """
 
-    ext_part: FgAbGroup
-    hom_part: FgAbGroup
-    order_product: int | float
-    exponent_bound: int | float
+    __slots__ = ()
 
 
 def moore_homotopy_ses(g: FgAbGroup, m: int, table: HomotopyTable,
@@ -328,8 +316,8 @@ def moore_homotopy_ses(g: FgAbGroup, m: int, table: HomotopyTable,
 # Torsion-class propagation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorsionClassReport:
+class TorsionClassReport(namedtuple("TorsionClassReport", "primes hypothesis_holds "
+                                    "hypothesis_failures entries_in_class diagonal_flags")):
     """Whether torsion confined to the primes of p propagates to the page.
 
     When every reduced homology group of the shape complex lies in the
@@ -338,11 +326,7 @@ class TorsionClassReport:
     degree that the table fully covers.
     """
 
-    primes: PrimeSet
-    hypothesis_holds: bool
-    hypothesis_failures: tuple[int, ...]
-    entries_in_class: bool
-    diagonal_flags: dict[int, bool]
+    __slots__ = ()
 
 
 def torsion_class_check(a: ChainComplex, table: HomotopyTable,
@@ -371,12 +355,8 @@ def torsion_class_check(a: ChainComplex, table: HomotopyTable,
 # Cross-path consistency with the shaped-homology formula
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    n: int
-    holds: bool
-    diagonal_sum: FgAbGroup
-    formula_value: FgAbGroup
+class ConsistencyCheck(namedtuple("ConsistencyCheck", "n holds diagonal_sum formula_value")):
+    __slots__ = ()
 
 
 def e2_consistency_with_ahomology(a: ChainComplex, x: ChainComplex,
