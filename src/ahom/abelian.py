@@ -40,7 +40,6 @@ from array import array
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import and_, itemgetter, mod, mul, rshift
 
@@ -130,10 +129,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         else:
             width = 0 if cols is None else cols
         return cls(len(data), width, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -243,12 +238,14 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> b
 class SmithDecomposition(namedtuple("SmithDecomposition", "U diagonal V source")):
     """Certificate U @ source @ V == S with U, V unimodular and S diagonal.
 
-    It holds U, V and the diagonal, and builds S from them when first read.
+    It holds U, V and the diagonal, and builds S from them on each read.
     The diagonal is nonnegative, each entry divides the next, and zeros trail.
     U and V are empty (rows x 0 and 0 x cols) without a certificate.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def S(self) -> IntMatrix:
         return IntMatrix.diagonal(self.diagonal, self.source.rows, self.source.cols)
 

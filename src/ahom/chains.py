@@ -123,13 +123,6 @@ class ChainComplex(namedtuple("ChainComplex", "name ranks boundaries")):
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
-    def boundary(self, n: int) -> IntMatrix:
-        """The degree-n boundary matrix, materialized as zero when absent."""
-        mat = self.boundaries.get(n)
-        if mat is None:
-            return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
-        return mat
-
     @cached_property
     def graded_homology(self) -> dict[int, FgAbGroup]:
         """The nonzero reduced homology groups by degree; a degree absent from
@@ -264,8 +257,9 @@ def wedge(cs: Sequence[ChainComplex]) -> ChainComplex:
     def block_diagonal(n: int) -> IntMatrix:
         rows, left, cols = [], 0, ranks.get(n, 0)
         for c in cs:  # each piece's rows, padded with zeros left and right
-            pads = (0,) * left, (0,) * (cols - left - c.rank(n))
-            rows += [pads[0] + row + pads[1] for row in c.boundary(n).entries]
+            mat, pads = c.boundaries.get(n), ((0,) * left, (0,) * (cols - left - c.rank(n)))
+            rows += ([pads[0] + row + pads[1] for row in mat.entries] if mat is not None
+                     else [(0,) * cols] * c.rank(n - 1))  # absent: one zero row, shared
             left += c.rank(n)
         return IntMatrix(len(rows), cols, tuple(rows))
 

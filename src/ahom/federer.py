@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from .abelian import (
     FgAbGroup,
@@ -113,10 +112,12 @@ class BigradedPage(namedtuple("BigradedPage", "variant p_range q_range a pi")):
     (a dict by q), over the cells p_range x q_range; a cell's group is
     derived when read, and its status follows from p + q and the variant alone."""
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def entries(self) -> dict[tuple[int, int], FgAbGroup]:
-        """Every cell's group by (p, q), in sorted order, formed on first
-        read: only readers of the whole page ask for it."""
+        """Every cell's group by (p, q), in sorted order, formed on each read
+        and kept by no one: only readers of the whole page ask for it."""
         p_lo, p_hi = self.p_range
         q_lo, q_hi = self.q_range
         return {(p, q): self.group(p, q) for p in range(p_lo, p_hi + 1)
@@ -411,25 +412,21 @@ def load_homotopy_table(path: str) -> HomotopyTable:
     return homotopy_table_from_json(read_json(path))
 
 
-def _cell_text(page: BigradedPage, p: int, q: int) -> str:
-    return (str(page.entries[p, q]) + ("*" if page.status(p, q) == UPPER_BOUND else "")
-            + ("!" if page.must_die(p, q) else ""))
-
-
 def render_page(page: BigradedPage) -> str:
     """Text grid, rows q descending, columns p ascending from -dim(A).
 
     Cells carry "*" for subgroup upper bounds and "!" for entries that must
-    vanish in the limit.
+    vanish in the limit.  Each cell is read from the page as its row is made.
     """
     p_lo, p_hi = page.p_range
     q_lo, q_hi = page.q_range
-    ps = list(range(p_lo, p_hi + 1))
-    header = ["q\\p"] + [str(p) for p in ps]
-    rows = [header]
+    ps = range(p_lo, p_hi + 1)
+    rows = [["q\\p"] + [str(p) for p in ps]]
     for q in range(q_hi, q_lo - 1, -1):
-        rows.append([str(q)] + [_cell_text(page, p, q) for p in ps])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+        rows.append([str(q)] + [str(page.group(p, q))
+                                + ("*" if page.status(p, q) == UPPER_BOUND else "")
+                                + ("!" if page.must_die(p, q) else "") for p in ps])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join(
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
         for row in rows)
@@ -437,11 +434,12 @@ def render_page(page: BigradedPage) -> str:
 
 def page_to_json(page: BigradedPage) -> dict:
     out = {}
-    for (p, q), group in page.entries.items():  # in sorted order
-        cell = {"group": str(group), "status": page.status(p, q)}
-        if page.must_die(p, q):
-            cell["must_die"] = True
-        out[f"{p},{q}"] = cell
+    for p in range(page.p_range[0], page.p_range[1] + 1):
+        for q in range(page.q_range[0], page.q_range[1] + 1):
+            cell = {"group": str(page.group(p, q)), "status": page.status(p, q)}
+            if page.must_die(p, q):
+                cell["must_die"] = True
+            out[f"{p},{q}"] = cell
     return out
 
 

@@ -20,12 +20,18 @@ class RecipeError(ValueError):
     """Raised for unparseable or out-of-range space recipes."""
 
 
+# The most entries of the dense (r + t) x t boundary of a Moore space with r
+# free and t torsion summands: 2,048 copies of Z/2 reach it exactly.
+MAX_MOORE_ENTRIES = 1 << 22
+
+
 def parse_recipe(text: str) -> partial:
     """Parse the CLI recipe syntax into a deferred constructor call.
 
     Every argument is checked here, without building anything or reading a
     file; no recipe may ask for a cell in a degree past
-    ``chains.MAX_DEGREE``, or for more than ``abelian.MAX_SUMMANDS`` in one.
+    ``chains.MAX_DEGREE``, for more than ``abelian.MAX_SUMMANDS`` in one, or
+    for a Moore boundary of more than MAX_MOORE_ENTRIES entries.
     """
     kind, sep, rest = text.partition(":")
     if not sep:
@@ -44,8 +50,12 @@ def parse_recipe(text: str) -> partial:
             group = parse_group(group_text)
         except GroupParseError as exc:
             raise RecipeError(f"moore recipe: {exc}") from None
+        t = len(group.invariant_factors)
+        if (entries := (group.free_rank + t) * t) > MAX_MOORE_ENTRIES:
+            raise RecipeError(f"moore recipe: a boundary of {entries} entries is past "
+                              f"the limit of {MAX_MOORE_ENTRIES}")
         # each torsion factor adds a cell in degree m + 1
-        m = parse_degree(m_text, "moore degree", RecipeError, bool(group.invariant_factors))
+        m = parse_degree(m_text, "moore degree", RecipeError, bool(t))
         if m < 1:
             raise RecipeError("moore requires a group and a degree m >= 1")
         return partial(moore, group, m)

@@ -25,6 +25,35 @@ from ahom.federer import (DETERMINED, EXACT, GRADED_UPPER_BOUNDS, OUT_OF_RANGE, 
                           TorsionClassReport)
 
 
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, ((0,) * cols,) * rows)
+
+
+def boundary(c: ChainComplex, n: int) -> IntMatrix:
+    """The degree-n boundary of c, a zero matrix of its shape when absent."""
+    return c.boundaries.get(n) or zeros(c.rank(n - 1), c.rank(n))
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """The rank over F_p of a matrix given as a list of rows, by plain
+    Gaussian elimination: each pivot row, scaled to a leading 1, clears its
+    column from the rows below it."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][j], -1, p)
+        top = rows[rank] = [x * inverse % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][j]:
+                rows[i] = [(x - rows[i][j] * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
 def elements(g: FgAbGroup):
     """All elements of a finite group as coordinate tuples."""
     assert g.is_finite()
@@ -55,7 +84,7 @@ def brute_cohomology_orders(c: ChainComplex, n: int, g: FgAbGroup) -> Counter:
         return product(values, repeat=c.rank(k))
 
     def coboundary(phi, k):
-        d = c.boundary(k + 1)
+        d = boundary(c, k + 1)
         return tuple(tuple(sum(d.entries[i][j] * phi[i][t] for i in range(d.rows)) % orders[t]
                            for t in range(len(orders)))
                      for j in range(d.cols))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ahom.abelian import MAX_SUMMANDS
 from ahom.chains import MAX_DEGREE
 from ahom.cli import VERBS, main
-from ahom.spaces import projective
+from ahom.spaces import MAX_MOORE_ENTRIES, projective
 from helpers import complex_to_json
 
 
@@ -425,6 +425,12 @@ class TestExitCodes:
                              "--degree", "2")
         assert (code, err) == (0, "")
         assert out == f"H_2(moore:Z^{MAX_SUMMANDS - 1}+Z/3:2) = Z^{MAX_SUMMANDS - 1} + Z/3\n"
+
+    def test_moore_boundary_past_the_bound_is_two(self, capsys):
+        code, out, err = run(capsys, "homology", "--X", "moore:" + "+".join(["Z/2"] * 2049) + ":2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: moore recipe: a boundary of {2049 * 2049} entries is past "
+                       f"the limit of {MAX_MOORE_ENTRIES}\n")
 
     def test_hom_past_the_limit_is_two(self, capsys, tmp_path):
         # each group is under the limit, but Hom(Z^99999, pi_2) would list 10^10 summands

@@ -20,6 +20,7 @@ from ahom.federer import (
     TABLE_START,
     UPPER_BOUND,
     ZERO,
+    BigradedPage,
     HomotopyTable,
     RefusedHypothesis,
     TableRangeMiss,
@@ -244,6 +245,10 @@ H0_Z3 = (ChainComplex("h0", {0: 1, 1: 1}, {1: IntMatrix.from_rows([[3]])}),
          HomotopyTable(ABSOLUTE, {1: Z2, 2: Z, 3: Z2, 4: Z2}, True), PrimeSet.of(2))
 
 
+def refuse_grid(page):
+    raise AssertionError("the whole grid was formed")
+
+
 class TestPageView:
     @settings(max_examples=150, deadline=None)
     @given(pages())
@@ -260,7 +265,7 @@ class TestPageView:
         for p in range(p_lo - 2, p_hi + 3):
             for q in range(q_lo - 2, q_hi + 3):
                 assert page.group(p, q) == eager.group(p, q), (p, q)
-        assert "entries" not in vars(page)
+        assert not hasattr(page, "__dict__")
         assert list(page.entries.items()) == sorted(eager.entries.items(), key=lambda c: c[0])
         if table.variant == ABSOLUTE:
             report = torsion_class_check(a, table, primes)
@@ -277,16 +282,23 @@ class TestPageView:
 
     def test_partial_readers_form_no_grid(self, monkeypatch):
         table = constant_table(ABSOLUTE, Z2, 10_000)
-        made = []
-        monkeypatch.setattr(federer, "federer_e2",
-                            lambda a, t: made.append(federer_e2(a, t)) or made[-1])
-        report = federer.torsion_class_check(projective(8), table, PrimeSet.of(2))
-        assert report.entries_in_class and all(report.diagonal_flags.values())
         page = federer_e2(projective(8), table)
-        assert collapse_report(page, 3).verdict == GRADED_UPPER_BOUNDS
-        for read in (made[0], page):
-            assert "entries" not in vars(read)
-        assert len(page.entries) == 8 * 10_000
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(BigradedPage, "entries", property(refuse_grid))
+            report = federer.torsion_class_check(projective(8), table, PrimeSet.of(2))
+            assert report.entries_in_class and all(report.diagonal_flags.values())
+            assert collapse_report(page, 3).verdict == GRADED_UPPER_BOUNDS
+        assert len(page.entries) == 8 * 10_000 and not hasattr(page, "__dict__")
+
+    def test_both_forms_print_from_the_cells(self):
+        # a relative page, so that both marks, "*" and "!", are printed
+        page = relative_federer_e2(projective(3), constant_table(RELATIVE, FgAbGroup.of(1, [2]), 6))
+        text, data = render_page(page), page_to_json(page)
+        assert "*!" in text and len(data) == len(page.entries) == 3 * 5
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(BigradedPage, "entries", property(refuse_grid))
+            assert render_page(page) == text
+            assert page_to_json(page) == data
 
 
 class TestCollapse:

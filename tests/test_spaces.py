@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ahom.abelian import FgAbGroup, IntMatrix
 from ahom.chains import ChainComplex, homology, load_complex, suspension, wedge
 from ahom.spaces import (
+    MAX_MOORE_ENTRIES,
     RecipeError,
     build,
     is_suspension_shaped,
@@ -33,6 +34,23 @@ class TestRecipes:
         # parsing reads no file: the path is only bound to the loader
         r = parse_recipe("file:/tmp/x.json")
         assert (r.func, r.args) == (load_complex, ("/tmp/x.json",))
+
+    def test_moore_boundary_at_the_bound_parses_unbuilt(self, monkeypatch):
+        # 2,048 copies of Z/2 ask for a 2,048 x 2,048 boundary, exactly the bound
+        assert 2048 * 2048 == MAX_MOORE_ENTRIES
+        monkeypatch.setattr(ChainComplex, "__new__", None)  # building would fail
+        r = parse_recipe("moore:" + "+".join(["Z/2"] * 2048) + ":2")
+        assert (r.func, r.args) == (moore, (FgAbGroup.of(0, [2] * 2048), 2))
+
+    @pytest.mark.parametrize("group, entries", [
+        (FgAbGroup.of(0, [2] * 2049), 2049 * 2049),
+        (FgAbGroup.of(3, [2] * 2047), 2050 * 2047),  # free rows count too
+    ])
+    def test_moore_boundary_past_the_bound_is_refused(self, group, entries):
+        assert entries > MAX_MOORE_ENTRIES
+        with pytest.raises(RecipeError, match=f"{entries} entries is past the limit of "
+                                              f"{MAX_MOORE_ENTRIES}"):
+            parse_recipe(f"moore:{group}:2".replace(" ", ""))
 
     @pytest.mark.parametrize("bad", [
         "sphere", "sphere:x", "sphere:0", "rp:-1", "moore:Z/2", "moore:Q:1",
