@@ -8,8 +8,10 @@ equalities with zero tolerance.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import namedtuple
+from collections.abc import Callable
 
 from .abelian import (
     FgAbGroup,
@@ -136,6 +138,23 @@ class CheckResult(namedtuple("CheckResult", "name passed detail")):
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
+ALL_CHECKS: list[Callable[[], CheckResult]] = []
+
+
+def _check(fn: Callable[[], tuple[bool, str]]) -> Callable[[], CheckResult]:
+    """Register `fn` in ALL_CHECKS, named as the benchmark's tracer names it:
+    check_page_shape reports as page-shape.  The name is bound here, since
+    the tracer swaps the ALL_CHECKS entries for wrappers of another name."""
+    name = fn.__name__.removeprefix("check_").replace("_", "-")
+
+    @functools.wraps(fn)
+    def check() -> CheckResult:
+        return CheckResult(name, *fn())
+
+    ALL_CHECKS.append(check)
+    return check
+
+
 def _shape_pool() -> list[ChainComplex]:
     # built once per check call: each complex reduces once, and none outlives the run
     return [
@@ -148,7 +167,8 @@ def _shape_pool() -> list[ChainComplex]:
     ]
 
 
-def check_sphere_formula() -> CheckResult:
+@_check
+def check_sphere_formula() -> tuple[bool, str]:
     """Shaped homology of spheres equals integral cohomology of the shape."""
     cases = 0
     for a in _shape_pool():
@@ -158,14 +178,13 @@ def check_sphere_formula() -> CheckResult:
                 expected = cohomology_uct(a, n - r, Z)
                 got = a_homology(a, x, r)
                 if got != expected:
-                    return CheckResult(
-                        "sphere-formula", False,
-                        f"A={a.name}, n={n}, r={r}: {got} != {expected}")
+                    return False, f"A={a.name}, n={n}, r={r}: {got} != {expected}"
                 cases += 1
-    return CheckResult("sphere-formula", True, f"{cases} instances, exact equality")
+    return True, f"{cases} instances, exact equality"
 
 
-def check_s0_degeneration() -> CheckResult:
+@_check
+def check_s0_degeneration() -> tuple[bool, str]:
     """With the based 0-sphere as shape, the theory is ordinary homology."""
     a = sphere(0)
     rng = random.Random(2002)
@@ -176,14 +195,13 @@ def check_s0_degeneration() -> CheckResult:
     for x in pool:
         for n in range(0, x.top_degree + 2):
             if a_homology(a, x, n) != homology(x, n):
-                return CheckResult("s0-degeneration", False,
-                                   f"X={x.name}, n={n}")
+                return False, f"X={x.name}, n={n}"
             cases += 1
-    return CheckResult("s0-degeneration", True,
-                       f"{len(pool)} complexes, {cases} degrees")
+    return True, f"{len(pool)} complexes, {cases} degrees"
 
 
-def check_uct_vs_direct() -> CheckResult:
+@_check
+def check_uct_vs_direct() -> tuple[bool, str]:
     """The Hom/Ext route and the cochain route agree everywhere."""
     rng = random.Random(2003)
     complexes = 200
@@ -195,12 +213,9 @@ def check_uct_vs_direct() -> CheckResult:
             via_uct = cohomology_uct(c, n, g)
             via_cochains = cohomology_direct(c, n, g)
             if via_uct != via_cochains:
-                return CheckResult(
-                    "uct-vs-direct", False,
-                    f"complex #{cases}, n={n}, g={g}: {via_uct} != {via_cochains}")
+                return False, f"complex #{cases}, n={n}, g={g}: {via_uct} != {via_cochains}"
             cases += 1
-    return CheckResult("uct-vs-direct", True,
-                       f"{complexes} random complexes, {cases} degree/group pairs")
+    return True, f"{complexes} random complexes, {cases} degree/group pairs"
 
 
 def _snf_certificate_ok(m: IntMatrix) -> bool:
@@ -224,13 +239,14 @@ def _snf_certificate_ok(m: IntMatrix) -> bool:
     return True
 
 
-def check_snf_certificates() -> CheckResult:
+@_check
+def check_snf_certificates() -> tuple[bool, str]:
     """Smith certificates on random matrices; cokernel order on full rank."""
     rng = random.Random(2004)
     matrices = 500
     for i in range(matrices):
         if not _snf_certificate_ok(random_matrix(rng)):
-            return CheckResult("snf-certificates", False, f"matrix #{i}")
+            return False, f"matrix #{i}"
     square = 0
     while square < 100:
         n = rng.randint(1, 6)
@@ -240,14 +256,13 @@ def check_snf_certificates() -> CheckResult:
         if d == 0:
             continue
         if cokernel(m).order() != abs(d):
-            return CheckResult("snf-certificates", False,
-                               f"cokernel order mismatch for det {d}")
+            return False, f"cokernel order mismatch for det {d}"
         square += 1
-    return CheckResult("snf-certificates", True,
-                       f"{matrices} certificates, {square} cokernel orders")
+    return True, f"{matrices} certificates, {square} cokernel orders"
 
 
-def check_axioms() -> CheckResult:
+@_check
+def check_axioms() -> tuple[bool, str]:
     """Suspension and wedge axioms on randomized triples.
 
     Targets are drawn connected: the formula presupposes a connected X, and
@@ -262,16 +277,17 @@ def check_axioms() -> CheckResult:
         n = rng.randint(0, 6)
         [s] = check_suspension_axiom(a, x, [n])
         if not s.holds:
-            return CheckResult("axioms", False, f"suspension #{i}: {s.line()}")
+            return False, f"suspension #{i}: {s.line()}"
         pieces = [connected_complex(rng, max_top=3, max_rank=3)
                   for _ in range(rng.randint(0, 3))]
         [w] = check_wedge_axiom(a, pieces, [n])
         if not w.holds:
-            return CheckResult("axioms", False, f"wedge #{i}: {w.line()}")
-    return CheckResult("axioms", True, f"{triples} suspension and wedge instances")
+            return False, f"wedge #{i}: {w.line()}"
+    return True, f"{triples} suspension and wedge instances"
 
 
-def check_moore_ses_orders() -> CheckResult:
+@_check
+def check_moore_ses_orders() -> tuple[bool, str]:
     """Order and exponent identities for the Moore-coefficient sequences."""
     rng = random.Random(2006)
     targets = [projective(2), projective(4), moore(Z2, 3),
@@ -288,27 +304,22 @@ def check_moore_ses_orders() -> CheckResult:
                             and ses.middle.is_finite()):
                         continue
                     if ses.middle.order() != ses.ext_part.order() * ses.hom_part.order():
-                        return CheckResult(
-                            "moore-ses-orders", False,
-                            f"g={g}, m={m}, X={x.name}, n={n}: order mismatch")
+                        return False, f"g={g}, m={m}, X={x.name}, n={n}: order mismatch"
                     bound = exponent(ses.ext_part) * exponent(ses.hom_part)
                     if bound % exponent(ses.middle):
-                        return CheckResult(
-                            "moore-ses-orders", False,
-                            f"g={g}, m={m}, X={x.name}, n={n}: exponent bound broken")
+                        return False, f"g={g}, m={m}, X={x.name}, n={n}: exponent bound broken"
                     finite_cases += 1
     # the projective-plane coefficient bound: every element has order 1, 2 or 4
     for i in range(10):
         table = random_table(rng, q_max=7)
         ses = moore_homotopy_ses(Z2, 1, table, rng.randint(1, 5))
         if ses.exponent_bound not in (1, 2, 4):
-            return CheckResult("moore-ses-orders", False,
-                               f"projective-plane bound {ses.exponent_bound} > 4")
-    return CheckResult("moore-ses-orders", True,
-                       f"{finite_cases} finite instances, bound <= 4 on 10 tables")
+            return False, f"projective-plane bound {ses.exponent_bound} > 4"
+    return True, f"{finite_cases} finite instances, bound <= 4 on 10 tables"
 
 
-def check_page_shape() -> CheckResult:
+@_check
+def check_page_shape() -> tuple[bool, str]:
     """Support pattern, edge statuses, and the relative must-die mark."""
     rng = random.Random(2007)
     shapes = [projective(2), projective(3), moore(FgAbGroup.cyclic(4), 1), sphere(2)]
@@ -327,35 +338,34 @@ def check_page_shape() -> CheckResult:
                     else:
                         ok = status == EXACT and not must_die
                     if not ok:
-                        return CheckResult(
-                            "page-shape", False,
-                            f"A={a.name}, variant={page.variant}, "
-                            f"entry ({p},{q}) has status {status}")
+                        return False, (f"A={a.name}, variant={page.variant}, "
+                                       f"entry ({p},{q}) has status {status}")
                 if not page.group(-a.top_degree - 1, page.q_range[1]).is_trivial():
-                    return CheckResult("page-shape", False, "column bound violated")
+                    return False, "column bound violated"
                 pages += 1
-    return CheckResult("page-shape", True, f"{pages} pages with exact support")
+    return True, f"{pages} pages with exact support"
 
 
-def check_hopf_whitney() -> CheckResult:
+@_check
+def check_hopf_whitney() -> tuple[bool, str]:
     """Sphere identity, set-valued projective case, group-valued suspensions."""
     rng = random.Random(2008)
     for i in range(20):
         g = random_group(rng)
         res = hopf_whitney(sphere(rng.randint(2, 6)), g)
         if res.group != g or res.structure != GROUP_VALUED:
-            return CheckResult("hopf-whitney", False, f"sphere case #{i}")
+            return False, f"sphere case #{i}"
     res = hopf_whitney(projective(2), Z)
     if res.group != Z2 or res.structure != SET_VALUED:
-        return CheckResult("hopf-whitney", False, "projective-plane case")
+        return False, "projective-plane case"
     for k in (suspension(projective(2)), suspension(wedge([sphere(1), sphere(1)]))):
         if hopf_whitney(k, FgAbGroup.cyclic(4)).structure != GROUP_VALUED:
-            return CheckResult("hopf-whitney", False, f"suspension case {k.name}")
-    return CheckResult("hopf-whitney", True,
-                       "20 sphere identities, set/group flags as required")
+            return False, f"suspension case {k.name}"
+    return True, "20 sphere identities, set/group flags as required"
 
 
-def check_cross_path() -> CheckResult:
+@_check
+def check_cross_path() -> tuple[bool, str]:
     """Diagonal sums of the assembled page match the shaped-homology formula."""
     rng = random.Random(2009)
     triples = 0
@@ -366,15 +376,14 @@ def check_cross_path() -> CheckResult:
         n = rng.randint(1, 5)
         check = e2_consistency_with_ahomology(a, x, n)
         if not check.holds:
-            return CheckResult(
-                "cross-path", False,
-                f"A={a.name}, X={x.name}, n={n}: "
-                f"{check.diagonal_sum} != {check.formula_value}")
+            return False, (f"A={a.name}, X={x.name}, n={n}: "
+                           f"{check.diagonal_sum} != {check.formula_value}")
         triples += 1
-    return CheckResult("cross-path", True, f"{triples} triples, two routes agree")
+    return True, f"{triples} triples, two routes agree"
 
 
-def check_torsion_class() -> CheckResult:
+@_check
+def check_torsion_class() -> tuple[bool, str]:
     """Two-primary propagation plus correctly failing hypotheses."""
     rng = random.Random(2010)
     two = PrimeSet.of(2)
@@ -383,22 +392,19 @@ def check_torsion_class() -> CheckResult:
             report = torsion_class_check(a, random_table(rng, q_max=6), two)
             if not (report.hypothesis_holds and report.entries_in_class
                     and all(report.diagonal_flags.values())):
-                return CheckResult("torsion-class", False,
-                                   f"A={a.name}, table #{i}")
+                return False, f"A={a.name}, table #{i}"
     failing = torsion_class_check(sphere(3), random_table(rng, q_max=6), two)
     if failing.hypothesis_holds or any(failing.diagonal_flags.values()):
-        return CheckResult("torsion-class", False,
-                           "free shape should fail the hypothesis")
+        return False, "free shape should fail the hypothesis"
     mixed = torsion_class_check(moore(FgAbGroup.cyclic(6), 2),
                                 random_table(rng, q_max=6), two)
     if mixed.hypothesis_holds:
-        return CheckResult("torsion-class", False,
-                           "6-torsion shape should fail for primes {2}")
-    return CheckResult("torsion-class", True,
-                       "40 propagating tables, hypothesis failures flagged")
+        return False, "6-torsion shape should fail for primes {2}"
+    return True, "40 propagating tables, hypothesis failures flagged"
 
 
-def check_single_column() -> CheckResult:
+@_check
+def check_single_column() -> tuple[bool, str]:
     """A one-column page determines every in-range diagonal exactly."""
     rng = random.Random(2011)
     q_max = 8
@@ -409,29 +415,11 @@ def check_single_column() -> CheckResult:
         for n in range(1, q_max - m + 1):
             verdict = collapse_report(page, n)
             if verdict.verdict != DETERMINED or verdict.group != table.entries[n + m]:
-                return CheckResult("single-column", False,
-                                   f"m={m}, n={n}: verdict {verdict.verdict}")
+                return False, f"m={m}, n={n}: verdict {verdict.verdict}"
         beyond = collapse_report(page, q_max - m + 1)
         if beyond.verdict != OUT_OF_RANGE:
-            return CheckResult("single-column", False,
-                               f"m={m}: truncated diagonal not reported out of range")
-    return CheckResult("single-column", True,
-                       "spheres of dimension 1..3, all in-range diagonals determined")
-
-
-ALL_CHECKS = [
-    check_sphere_formula,
-    check_s0_degeneration,
-    check_uct_vs_direct,
-    check_snf_certificates,
-    check_axioms,
-    check_moore_ses_orders,
-    check_page_shape,
-    check_hopf_whitney,
-    check_cross_path,
-    check_torsion_class,
-    check_single_column,
-]
+            return False, f"m={m}: truncated diagonal not reported out of range"
+    return True, "spheres of dimension 1..3, all in-range diagonals determined"
 
 
 def run_all() -> list[CheckResult]:

@@ -25,6 +25,12 @@ from ahom.federer import (DETERMINED, EXACT, GRADED_UPPER_BOUNDS, OUT_OF_RANGE, 
                           TorsionClassReport)
 
 
+def check_name(check) -> str:
+    """The name bench/tracing.py gives a corpus check: check_page_shape is
+    page-shape."""
+    return check.__name__.removeprefix("check_").replace("_", "-")
+
+
 def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 

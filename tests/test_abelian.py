@@ -51,13 +51,14 @@ Z2 = FgAbGroup.cyclic(2)
 
 
 def assert_valid_snf(dec):
-    assert dec.U @ dec.source @ dec.V == dec.S
+    S = dec.S  # built from the diagonal on each read
+    assert dec.U @ dec.source @ dec.V == S
     assert abs(dec.U.det()) == 1
     assert abs(dec.V.det()) == 1
-    for i in range(dec.S.rows):
-        for j in range(dec.S.cols):
+    for i in range(S.rows):
+        for j in range(S.cols):
             if i != j:
-                assert dec.S.entries[i][j] == 0
+                assert S.entries[i][j] == 0
     diag = dec.diagonal
     assert all(d >= 0 for d in diag)
     seen_zero = False

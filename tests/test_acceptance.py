@@ -10,20 +10,10 @@ import pytest
 
 from ahom import corpus
 from ahom.abelian import IntMatrix, SmithDecomposition
+from helpers import check_name
 
-CRITERIA = [
-    ("01-sphere-formula", corpus.check_sphere_formula),
-    ("02-s0-degeneration", corpus.check_s0_degeneration),
-    ("03-uct-vs-direct", corpus.check_uct_vs_direct),
-    ("04-snf-certificates", corpus.check_snf_certificates),
-    ("05-axioms", corpus.check_axioms),
-    ("06-moore-ses-orders", corpus.check_moore_ses_orders),
-    ("07-page-shape", corpus.check_page_shape),
-    ("08-hopf-whitney", corpus.check_hopf_whitney),
-    ("09-cross-path", corpus.check_cross_path),
-    ("10-torsion-class", corpus.check_torsion_class),
-    ("11-single-column", corpus.check_single_column),
-]
+CRITERIA = [(f"{i:02d}-{check_name(check)}", check)
+            for i, check in enumerate(corpus.ALL_CHECKS, 1)]
 
 
 @pytest.mark.parametrize("label,check", CRITERIA, ids=[c[0] for c in CRITERIA])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahom import ahomology
 from ahom.abelian import FgAbGroup, direct_sum, exponent
 from ahom.ahomology import (
     a_homology,
@@ -190,6 +191,16 @@ class TestAxioms:
         assert check_wedge_axiom(a, [x, x], degrees) == [
             check_wedge_axiom(a, [x, x], [n])[0] for n in degrees]
         assert check_wedge_axiom(a, [x], []) == []
+
+    def test_wedge_sums_a_repeated_piece_once(self, monkeypatch):
+        a, x, y = projective(3), moore(FgAbGroup.of(1, [2]), 2), sphere(3)
+        real, calls = ahomology.a_homology, []
+        monkeypatch.setattr(ahomology, "a_homology",
+                            lambda shape, target, n: calls.append(n) or real(shape, target, n))
+        [check] = check_wedge_axiom(a, [x, y, x], [2])
+        assert len(calls) == 3  # the wedge, x and y
+        assert check.holds
+        assert check.right == direct_sum([real(a, x, 2), real(a, y, 2), real(a, x, 2)])
 
     def test_axiom_checks_alternate_the_two_checkers(self):
         a, x = projective(3), moore(FgAbGroup.of(1, [2]), 2)

@@ -3,7 +3,9 @@
 ``bench/tracing.py`` wraps the functions in its ``TRACED`` list by module
 and attribute, and ``bench/tests`` checks that ``chains.kernel_basis`` and
 ``corpus.snf`` are rebound too.  ``bench/tests/test_bench.py`` also imports
-and calls a few library functions directly.  Those tests live outside this
+and calls a few library functions directly.  The tracer names the row of
+each entry of ``corpus.ALL_CHECKS`` from its function's name, which must
+give the name the check reports.  Those tests live outside this
 suite, so a rename or a signature change would otherwise only show as a
 failing ``bench/run.py --trace 1`` or ``pytest bench/tests``.
 """
@@ -15,11 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from ahom import corpus
 from ahom.chains import ChainComplex
 from ahom.spaces import build, parse_recipe, projective
-from helpers import complex_to_json
+from helpers import check_name, complex_to_json
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+CORPUS_JSON = Path(__file__).parent / "golden" / "corpus-json.out"
 
 # what bench/tests/test_bench.py takes from ahom besides the traced names
 BENCH_TEST_IMPORTS = [
@@ -54,3 +58,10 @@ def test_build_of_parsed_recipe_is_a_complex(tmp_path, text):
     path = tmp_path / "rp2.json"
     path.write_text(json.dumps(complex_to_json(projective(2))))
     assert isinstance(build(parse_recipe(text.format(path=path))), ChainComplex)
+
+
+def test_traced_check_names_are_the_reported_names():
+    # the tracer names its corpus.<check>.s rows from each function's name
+    reported = [r["name"] for r in json.loads(CORPUS_JSON.read_text())]
+    assert [check_name(check) for check in corpus.ALL_CHECKS] == reported
+    assert all(getattr(corpus, check.__name__) is check for check in corpus.ALL_CHECKS)

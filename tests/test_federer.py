@@ -180,13 +180,13 @@ class TestPageAssembly:
         table = random_table(rng, variant, q_max=rng.randint(TABLE_START[variant], 6))
         page = (federer_e2 if variant == ABSOLUTE else relative_federer_e2)(a, table)
         edge = 0 if variant == ABSOLUTE else 1
-        assert set(page.entries) == {(p, q) for p in range(-a.top_degree, 0)
-                                     for q in table.entries}
+        cells = page.entries  # formed on each read
+        assert set(cells) == {(p, q) for p in range(-a.top_degree, 0) for q in table.entries}
         direct = {}
         for p in range(-a.top_degree - 1, 1):
             for q in range(table.q_min - 1, table.q_max + 2):
                 total = p + q
-                if (p, q) not in page.entries:
+                if (p, q) not in cells:
                     assert page.group(p, q) == TRIVIAL
                 elif total < edge:
                     assert page.group(p, q) == TRIVIAL
@@ -458,10 +458,11 @@ class TestTorsionClass:
         table, p = random_table(rng, q_max=rng.randint(1, 9), max_order=12), PrimeSet.of(*primes)
         report = torsion_class_check(a, table, p)
         page = federer_e2(a, table)
+        cells = page.entries  # formed on each read
         hypothesis = all(in_class(homology(a, j), p) for j in range(1, a.top_degree + 1))
-        assert report.entries_in_class == all(in_class(g, p) for g in page.entries.values())
+        assert report.entries_in_class == all(in_class(g, p) for g in cells.values())
         assert report.diagonal_flags == {
-            n: hypothesis and all(in_class(page.entries[c], p) for c in page.diagonal(n))
+            n: hypothesis and all(in_class(cells[c], p) for c in page.diagonal(n))
             for n in range(1, table.q_max - a.top_degree + 1)}
 
     def test_moore_six_needs_both_primes(self):
