@@ -132,8 +132,8 @@ class TestVerbs:
         assert calls == {"suspension": 1, "wedge": 1}
 
     def test_axioms_sum_only_where_x_has_homology(self, capsys, monkeypatch):
-        # sphere:64 has homology in degree 64 only, so each of the five sums
-        # at n = 0..64 (x twice in the wedge) makes one call (325) and n = 65 none
+        # sphere:64 has homology in degree 64 only, so each of the four sums
+        # at n = 0..64 (x once for both wedge pieces) makes one call (260) and n = 65 none
         from ahom import ahomology
         calls = []
 
@@ -144,7 +144,7 @@ class TestVerbs:
         monkeypatch.setattr(ahomology, "cohomology_uct", counted)
         code, out, _ = run(capsys, "axioms", "--A", "sphere:64", "--X", "sphere:64")
         assert code == 0 and "FAILS" not in out
-        assert len(calls) <= 330
+        assert len(calls) <= 260
 
     def test_axioms_assemble_each_cohomology_group_once(self, capsys, monkeypatch):
         # H^k(rp:64; g) for k = 0..64 and two groups g, Z/2 for x and its
