@@ -155,12 +155,11 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols_t = list(zip(*other.entries)) if other.rows and other.cols else []
-        out = tuple(
-            tuple(sum(map(mul, row, col)) for col in cols_t)
-            if cols_t else (0,) * other.cols
-            for row in self.entries)
-        return IntMatrix(self.rows, other.cols, out)
+        cols_t = list(zip(*other.entries)) if other.rows else []
+        zero = (0,) * other.cols
+        out = tuple([tuple([sum(map(mul, row, col)) for col in cols_t]) if cols_t else zero
+                     for row in self.entries])
+        return tuple.__new__(IntMatrix, (self.rows, other.cols, out))  # its shape holds by construction
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
@@ -185,11 +184,14 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
                         break
                 else:
                     return 0
+            p = a[k][k]
             for i in range(k + 1, n):
+                if a[i][k] == 0 and p == prev:
+                    continue  # each update would be x * p // prev = x
                 for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                    a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
                 a[i][k] = 0
-            prev = a[k][k]
+            prev = p
         return sign * a[n - 1][n - 1]
 
 
@@ -499,7 +501,9 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank invariant_factors")):
                     x, i = g, bisect_left(torsion, c, 0, i - 1)
                 if x > 1:
                     torsion.insert(0, x)
-        return cls(free_rank, tuple(torsion))
+        if require_int(free_rank, "free rank") < 0:
+            raise ValueError("free rank must be nonnegative")
+        return tuple.__new__(cls, (free_rank, tuple(torsion)))  # a divisor chain of orders >= 2
 
     # -- queries ------------------------------------------------------
 

@@ -148,22 +148,24 @@ def check_wedge_axiom(a: ChainComplex, xs: Sequence[ChainComplex],
 
     As with the suspension axiom, the pieces are assumed connected.
     """
-    w = wedge(xs)
-    distinct = {id(x): x for x in xs}
-    checks = []
-    for n in degrees:
-        piece = {key: a_homology(a, x, n) for key, x in distinct.items()}
-        checks.append(AxiomCheck("wedge", a_homology(a, w, n),
-                                 direct_sum([piece[id(x)] for x in xs]),
-                                 f"A={a.name}, pieces={len(xs)}, n={n}"))
-    return checks
+    w, distinct = wedge(xs), {id(x): x for x in xs}
+    pieces = ({key: a_homology(a, x, n) for key, x in distinct.items()} for n in degrees)
+    return [_wedge_check(a, w, n, [piece[id(x)] for x in xs]) for n, piece in zip(degrees, pieces)]
+
+
+def _wedge_check(a: ChainComplex, w: ChainComplex, n: int,
+                 pieces: Sequence[FgAbGroup]) -> AxiomCheck:
+    return AxiomCheck("wedge", a_homology(a, w, n), direct_sum(pieces),
+                      f"A={a.name}, pieces={len(pieces)}, n={n}")
 
 
 def axiom_checks(a: ChainComplex, x: ChainComplex, degrees: Sequence[int]) -> list[AxiomCheck]:
     """The suspension check of x and the wedge check of x v x, alternating
-    per degree."""
-    pairs = zip(check_suspension_axiom(a, x, degrees), check_wedge_axiom(a, [x, x], degrees))
-    return [check for pair in pairs for check in pair]
+    per degree; each H^A_n(x), the left side of the suspension check, is
+    formed once and is also both pieces of the wedge check."""
+    w = wedge([x, x])
+    return [check for s, n in zip(check_suspension_axiom(a, x, degrees), degrees)
+            for check in (s, _wedge_check(a, w, n, [s.left, s.left]))]
 
 
 class MooreHomologySes(namedtuple("MooreHomologySes", "ext_part hom_part middle")):
@@ -178,11 +180,14 @@ class MooreHomologySes(namedtuple("MooreHomologySes", "ext_part hom_part middle"
     __slots__ = ()
 
 
-def moore_a_homology_ses(g: FgAbGroup, m: int, x: ChainComplex, n: int) -> MooreHomologySes:
+def moore_a_homology_ses(g: FgAbGroup, m: int, xs: Sequence[ChainComplex],
+                         degrees: Sequence[int]) -> list[MooreHomologySes]:
+    """The sequence for each target in `xs` and each n in `degrees`, target by
+    target; M(g, m) is built once, so its homology and the cohomology kept
+    on it serve every pair."""
     if m < 1:
         raise ValueError("the Moore degree m must be >= 1")
-    return MooreHomologySes(
-        ext_part=ext(g, homology(x, n + m + 1)),
-        hom_part=hom(g, homology(x, n + m)),
-        middle=a_homology(moore(g, m), x, n),
-    )
+    a = moore(g, m)
+    return [MooreHomologySes(ext_part=ext(g, homology(x, n + m + 1)),
+                             hom_part=hom(g, homology(x, n + m)),
+                             middle=a_homology(a, x, n)) for x in xs for n in degrees]

@@ -220,6 +220,23 @@ def hadamard_square(m: IntMatrix) -> int:
     return math.prod(max(1, sum(x * x for x in col)) for col in zip(*m.entries))
 
 
+def leibniz_det(rows) -> int:
+    """The determinant of a square matrix, given as a list of rows, as the
+    Leibniz sum of sign(s) * rows[0][s(0)] * ... over the permutations s.
+
+    Row i picks the k-th of the columns still free, which adds k inversions;
+    a zero pick drops every permutation that extends it.  No elimination and
+    no division, so it checks IntMatrix.det without sharing any of its steps.
+    """
+    def expand(i, free, sign, term):
+        if i == len(rows):
+            return sign * term
+        return sum(expand(i + 1, free[:k] + free[k + 1:], -sign if k % 2 else sign, term * x)
+                   for k, j in enumerate(free) if (x := rows[i][j]))
+
+    return expand(0, list(range(len(rows))), 1, 1)
+
+
 def divides(a, b) -> bool:
     """Divisibility allowing math.inf on the right."""
     if b == float("inf"):

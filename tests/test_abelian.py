@@ -36,6 +36,7 @@ from helpers import (
     divides,
     echelon,
     invert_unimodular,
+    leibniz_det,
     pairwise_group,
     prime_factors,
     prime_power_group,
@@ -98,6 +99,44 @@ class TestIntMatrix:
     def test_identity_is_the_per_entry_form(self, n):
         assert IntMatrix.identity(n) == IntMatrix(
             n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+    @pytest.mark.parametrize("shape", [(r, k, c) for r in (0, 1, 3) for k in (0, 1, 3)
+                                       for c in (0, 1, 3)])
+    def test_product_is_the_per_entry_product(self, shape):
+        r, k, c = shape
+        rng = random.Random(sum(shape))
+        a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)], cols=k)
+        b = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)], cols=c)
+        p = a @ b
+        assert p == IntMatrix(*p)  # the shape it skips checking holds
+        assert p == IntMatrix(r, c, tuple(tuple(sum(a.entries[i][t] * b.entries[t][j]
+                                                    for t in range(k)) for j in range(c))
+                                          for i in range(r)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a @ zeros(k + 1, c)
+
+    # entries in -2..2 give zero multipliers and repeated unit pivots, where
+    # the Bareiss step leaves a row as it is
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    @example([[0, 1, 2], [1, 0, 1], [0, 2, 0]])
+    @example([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
+    def test_det_is_the_leibniz_sum(self, rows):
+        assert IntMatrix.from_rows(rows, cols=len(rows)).det() == leibniz_det(rows)
+
+    def test_det_of_the_certificates_from_random_matrices(self):
+        rng = random.Random(2004)  # the seed of the corpus's certificate check
+        for _ in range(60):
+            dec = snf(random_matrix(rng))
+            for t in (dec.U, dec.V):
+                assert t.det() == leibniz_det(t.entries) in (1, -1)
+
+    def test_det_refuses_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="non-square"):
+            IntMatrix.from_rows([[1, 2]]).det()
 
 
 class TestSnf:
@@ -589,6 +628,22 @@ class TestFgAbGroup:
     def test_a_value_that_is_not_an_int_is_refused(self, make, shown):
         with pytest.raises(TypeError, match=f"^{re.escape(shown)}, not an int$"):
             make()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.integers(1, 200), max_size=12))
+    def test_of_returns_what_the_validating_constructor_accepts(self, rank, orders):
+        g = FgAbGroup.of(rank, orders)
+        assert type(g) is FgAbGroup and FgAbGroup(*g) == g
+
+    @pytest.mark.parametrize("rank, error, shown", [
+        (-1, ValueError, "free rank must be nonnegative"),
+        (True, TypeError, "free rank True is a bool, not an int"),
+        (1.0, TypeError, "free rank 1.0 is a float, not an int"),
+    ], ids=["negative", "bool", "float"])
+    def test_of_refuses_a_bad_free_rank(self, rank, error, shown):
+        for orders in ([], [2, 3], [4, 2]):
+            with pytest.raises(error, match=f"^{re.escape(shown)}$"):
+                FgAbGroup.of(rank, orders)
 
     def test_trivial_is_one_shared_instance(self):
         assert FgAbGroup.trivial() is FgAbGroup.trivial() is TRIVIAL

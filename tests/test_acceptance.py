@@ -35,7 +35,8 @@ def test_corpus_verb_runs_everything(capsys):
     ([[1, 1], [0, 1]], [[1, 0], [0, 1]], (1, 1)),  # U @ m @ V has an off-diagonal entry
     ([[1, 0], [0, 1]], [[1, 0], [0, 2]], (1, 2)),  # U has determinant 2
     ([[2, 0], [0, 3]], [[1, 0], [0, 1]], (2, 3)),  # 2 does not divide 3
-], ids=["off-diagonal", "det-2", "broken-chain"])
+    ([[1, 0], [0, 2]], [[1, 0], [0, 1]], (1, 4)),  # U @ m @ V is diag(1, 2), not diag(1, 4)
+], ids=["off-diagonal", "det-2", "broken-chain", "other-diagonal"])
 def test_snf_certificate_check_rejects_a_bad_decomposition(monkeypatch, m_rows, u_rows, diagonal):
     m, identity = IntMatrix.from_rows(m_rows), IntMatrix.from_rows([[1, 0], [0, 1]])
     bad = SmithDecomposition(IntMatrix.from_rows(u_rows), diagonal, identity, m)

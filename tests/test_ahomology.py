@@ -17,7 +17,7 @@ from ahom.ahomology import (
     report_to_json,
 )
 from ahom.chains import cohomology_uct, homology, suspension, wedge
-from ahom.corpus import connected_complex, random_complex, random_group
+from ahom.corpus import check_moore_ses_orders, connected_complex, random_complex, random_group
 from ahom.spaces import moore, projective, sphere
 from helpers import divides, hom_complex, window_a_homology
 
@@ -217,7 +217,7 @@ class TestAxioms:
 
 class TestMooreSes:
     def test_four_sphere_instance(self):
-        ses = moore_a_homology_ses(Z2, 1, sphere(4), 2)
+        [ses] = moore_a_homology_ses(Z2, 1, [sphere(4)], [2])
         assert ses.ext_part == Z2    # Ext(Z/2, H_4 = Z)
         assert ses.hom_part == TRIVIAL
         assert ses.middle == Z2
@@ -228,7 +228,7 @@ class TestMooreSes:
         for _ in range(8):
             x = random_complex(rng)
             n = rng.randint(1, 4)
-            ses = moore_a_homology_ses(Z, 1, x, n)
+            [ses] = moore_a_homology_ses(Z, 1, [x], [n])
             assert ses.ext_part == TRIVIAL
             assert ses.hom_part == homology(x, n + 1)
             assert ses.middle == ses.hom_part
@@ -236,7 +236,7 @@ class TestMooreSes:
     def test_moore_target_instance(self):
         # x = moore(Z/4, 3) has homology only in degree 3, so the Ext end
         # (degree n+m+1 = 4) vanishes and the middle is Hom(Z/2, Z/4).
-        ses = moore_a_homology_ses(Z2, 1, moore(FgAbGroup.cyclic(4), 3), 2)
+        [ses] = moore_a_homology_ses(Z2, 1, [moore(FgAbGroup.cyclic(4), 3)], [2])
         assert ses.ext_part == TRIVIAL
         assert ses.hom_part == Z2
         assert ses.middle == Z2
@@ -250,7 +250,7 @@ class TestMooreSes:
             x = random_complex(rng, max_top=4, max_rank=3)
             n = rng.randint(1, 3)
             m = rng.randint(1, 2)
-            ses = moore_a_homology_ses(g, m, x, n)
+            [ses] = moore_a_homology_ses(g, m, [x], [n])
             if not (ses.ext_part.is_finite() and ses.hom_part.is_finite()
                     and ses.middle.is_finite()):
                 continue
@@ -259,6 +259,23 @@ class TestMooreSes:
                            exponent(ses.ext_part) * exponent(ses.hom_part))
             checked += 1
 
+    def test_targets_and_degrees_match_single_pairs(self):
+        g, targets, degrees = FgAbGroup.of(1, [2]), [projective(2), sphere(3), wedge([])], [3, 1, 1]
+        assert moore_a_homology_ses(g, 2, targets, degrees) == [
+            moore_a_homology_ses(g, 2, [x], [n])[0] for x in targets for n in degrees]
+        assert moore_a_homology_ses(g, 2, targets, []) == []
+
+    def test_one_moore_space_per_coefficient_and_degree(self, monkeypatch):
+        # five coefficients and m = 1, 2 in the corpus check: 10 builds for
+        # its 240 (target, degree) pairs
+        real, built = ahomology.moore, []
+        monkeypatch.setattr(ahomology, "moore", lambda g, m: built.append((g, m)) or real(g, m))
+        assert moore_a_homology_ses(Z2, 1, [sphere(3), projective(2)], [1, 2]) != []
+        assert built == [(Z2, 1)]
+        built.clear()
+        result = check_moore_ses_orders()
+        assert result.passed and len(built) == len(set(built)) == 10
+
     def test_rejects_bad_moore_degree(self):
         with pytest.raises(ValueError):
-            moore_a_homology_ses(Z2, 0, sphere(3), 1)
+            moore_a_homology_ses(Z2, 0, [sphere(3)], [1])

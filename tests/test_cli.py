@@ -132,8 +132,9 @@ class TestVerbs:
         assert calls == {"suspension": 1, "wedge": 1}
 
     def test_axioms_sum_only_where_x_has_homology(self, capsys, monkeypatch):
-        # sphere:64 has homology in degree 64 only, so each of the four sums
-        # at n = 0..64 (x once for both wedge pieces) makes one call (260) and n = 65 none
+        # sphere:64 has homology in degree 64 only, so each of the three sums
+        # at n = 0..64 (x once for its suspension check and both wedge pieces)
+        # makes one call (195) and n = 65 none
         from ahom import ahomology
         calls = []
 
@@ -144,7 +145,22 @@ class TestVerbs:
         monkeypatch.setattr(ahomology, "cohomology_uct", counted)
         code, out, _ = run(capsys, "axioms", "--A", "sphere:64", "--X", "sphere:64")
         assert code == 0 and "FAILS" not in out
-        assert len(calls) <= 260
+        assert len(calls) <= 195
+
+    def test_axioms_form_each_shaped_group_once(self, capsys, monkeypatch):
+        # per degree n = 0..65: H^A_n(x), which serves the suspension check
+        # and both wedge pieces, H^A_(n+1) of the suspension and H^A_n of x v x
+        from ahom import ahomology
+        calls = []
+
+        def counted(*args, _fn=ahomology.a_homology):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(ahomology, "a_homology", counted)
+        code, out, _ = run(capsys, "axioms", "--A", "rp:64", "--X", "rp:64")
+        assert code == 0 and "FAILS" not in out
+        assert len(calls) == 3 * 66 and len({(id(x), n) for _, x, n in calls}) == 3 * 66
 
     def test_axioms_assemble_each_cohomology_group_once(self, capsys, monkeypatch):
         # H^k(rp:64; g) for k = 0..64 and two groups g, Z/2 for x and its

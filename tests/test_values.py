@@ -41,7 +41,7 @@ SAMPLES = {
     "AxiomCheck": ("axiom left right detail",
                    lambda: axiom_checks(projective(2), sphere(3), [1])[0]),
     "MooreHomologySes": ("ext_part hom_part middle",
-                         lambda: moore_a_homology_ses(Z2, 1, projective(3), 1)),
+                         lambda: moore_a_homology_ses(Z2, 1, [projective(3)], [1])[0]),
     "CheckResult": ("name passed detail", lambda: CheckResult("sample", True, "1 case")),
     "HomotopyTable": ("variant entries abelian_assumption", _table),
     "BigradedPage": ("variant p_range q_range a pi", lambda: federer_e2(projective(2), _table())),
