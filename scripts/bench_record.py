@@ -1,15 +1,17 @@
-"""Record one checkout's benchmark numbers in a BENCH_<pr>.json file.
+"""Record a change's and its parent's benchmark numbers in a BENCH_<pr>.json file.
 
-    python3 scripts/bench_record.py BENCH_26.json change
-    python3 scripts/bench_record.py BENCH_26.json parent path/to/parent/checkout
+    python3 scripts/bench_record.py BENCH_28.json path/to/parent/checkout
 
-Runs ``bench/run.py`` of the checkout (by default the one holding this
-script) for 30 s untraced on each workload and seed 1-5, then traced once
-on ``verbs`` and ``corpus``, one run at a time.  The record of the commit,
-the Python version, the CPU count, the seeds, the run length, each run's
-last-line JSON object and the median of each metric over the seeds is stored
-under the label, beside any other label the file already holds.  The seeds
-and run length are fixed here, so that files compare across commits.
+Runs ``bench/run.py`` of both checkouts, the parent given and the change
+holding this script, for 30 s untraced on each workload and seed 1-5, then
+traced once on ``verbs`` and ``corpus``, one run at a time.  The two
+checkouts alternate run by run: per seed the parent runs first on odd seeds
+and the change first on even ones, and the two traced runs take turns the
+same way, so that drift of the host falls on both sides of each pair.  For
+each of ``parent`` and ``change`` the file holds the commit, the Python
+version, the CPU count, the seeds, the run length, each run's last-line JSON
+object and the median of each metric over the seeds.  The seeds and run
+length are fixed here, so that files compare across commits.
 """
 
 from __future__ import annotations
@@ -42,37 +44,45 @@ def last_line(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def paired(checkouts: dict[str, Path], workload: str, turn: int, seed: int,
+           trace: int) -> dict[str, dict]:
+    """One run of each checkout, the parent first when `turn` is odd."""
+    order = list(checkouts) if turn % 2 else list(checkouts)[::-1]
+    return {label: last_line(checkouts[label], workload, seed, trace) for label in order}
+
+
 def medians(runs: list[dict]) -> dict[str, float]:
     return {name: statistics.median(run["metrics"][name]["value"] for run in runs)
             for name in runs[0]["metrics"]}
 
 
+def git(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True,
+                          check=True).stdout
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3):
+    if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    out, label = Path(argv[0]), argv[1]
-    checkout = Path(argv[2] if len(argv) == 3 else Path(__file__).resolve().parent.parent)
-    git = ["git", "-C", str(checkout)]
-    commit = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True,
-                            check=True).stdout.strip()
-    modified = bool(subprocess.run([*git, "status", "--porcelain", "--untracked-files=no"],
-                                   capture_output=True, text=True, check=True).stdout)
-    untraced = {w: [last_line(checkout, w, s, 0) for s in SEEDS] for w in WORKLOADS}
-    traced = {w: last_line(checkout, w, SEEDS[0], 1) for w in TRACED}
-    record = {
-        "commit": commit,
-        "modified": modified,
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "seeds": list(SEEDS),
-        "seconds": SECONDS,
-        "notes": NOTES,
-        "untraced": {w: {"runs": runs, "median": medians(runs)} for w, runs in untraced.items()},
-        "traced": traced,
-    }
-    data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    data[label] = record
+    out = Path(argv[0])
+    checkouts = {"parent": Path(argv[1]), "change": Path(__file__).resolve().parent.parent}
+    untraced = {w: [paired(checkouts, w, s, s, 0) for s in SEEDS] for w in WORKLOADS}
+    traced = {w: paired(checkouts, w, turn, SEEDS[0], 1) for turn, w in enumerate(TRACED, 1)}
+    data = {}
+    for label, checkout in checkouts.items():
+        runs = {w: [pair[label] for pair in pairs] for w, pairs in untraced.items()}
+        data[label] = {
+            "commit": git(checkout, "rev-parse", "HEAD").strip(),
+            "modified": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "seeds": list(SEEDS),
+            "seconds": SECONDS,
+            "notes": NOTES,
+            "untraced": {w: {"runs": r, "median": medians(r)} for w, r in runs.items()},
+            "traced": {w: pair[label] for w, pair in traced.items()},
+        }
     out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -10,10 +10,10 @@ built.  With A the based 0-sphere the theory collapses to ordinary reduced
 homology, which is one of the corpus checks.  Each H^k(A; g) is kept on A by
 :func:`~ahom.chains.cohomology_uct`, so sums asked for again cost no Hom/Ext.
 
-The axiom checkers (suspension and wedge) and the Moore-space short-exact-
-sequence decomposition are verification tools: on valid inputs they must
-always succeed, so a failing check is evidence of a bug, not of new
-mathematics.
+One ``axiom_checks(a, x, pieces, degrees)`` checks the suspension and wedge
+axioms.  It and the Moore-space short-exact-sequence decomposition are
+verification tools: on valid inputs they must always succeed, so a failing
+check is evidence of a bug, not of new mathematics.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ def a_homology(a: ChainComplex, x: ChainComplex, n: int) -> FgAbGroup:
 
 
 class AHomologyReport(namedtuple("AHomologyReport",
-                                 "a_name x_name range groups assumptions violations",
-                                 defaults=((),))):
+                                 "a_name x_name range groups assumptions violations")):
     """Shaped homology of x over all degrees, with the vanishing window.
 
     `groups` holds every degree from 0 to dim x + 1, trivial ones included.
@@ -127,45 +126,27 @@ class AxiomCheck(namedtuple("AxiomCheck", "axiom left right detail")):
         return f"{self.axiom} axiom {verdict}: {self.detail}: {self.left} vs {self.right}"
 
 
-def check_suspension_axiom(a: ChainComplex, x: ChainComplex,
-                           degrees: Sequence[int]) -> list[AxiomCheck]:
-    """H^A_n(x) must agree with H^A_(n+1) of the suspension of x, for each n
-    in `degrees`; the suspension is built once.
+def axiom_checks(a: ChainComplex, x: ChainComplex, pieces: Sequence[ChainComplex],
+                 degrees: Sequence[int]) -> list[AxiomCheck]:
+    """Per n in `degrees`, the suspension check of x (H^A_n(x) against
+    H^A_(n+1) of its suspension) and then the wedge check of `pieces` (H^A_n
+    of their wedge against the sum over the pieces).
 
-    Holds for every connected x; a target with extra 0-cells violates the
-    formula's hypothesis and can fail at n = 0.
+    The suspension and the wedge are built once, and per degree H^A_n is
+    formed once for x and for each distinct piece, x among them or not.
+    Both axioms assume connected complexes; a target with extra 0-cells
+    violates the formula's hypothesis and can fail at n = 0.
     """
-    sx = suspension(x)
-    return [AxiomCheck("suspension", a_homology(a, x, n), a_homology(a, sx, n + 1),
-                       f"A={a.name}, X={x.name}, n={n}") for n in degrees]
-
-
-def check_wedge_axiom(a: ChainComplex, xs: Sequence[ChainComplex],
-                      degrees: Sequence[int]) -> list[AxiomCheck]:
-    """Shaped homology of a wedge must be the direct sum of the pieces, for
-    each n in `degrees`; the wedge is built once, and a piece listed twice
-    is summed once per degree.
-
-    As with the suspension axiom, the pieces are assumed connected.
-    """
-    w, distinct = wedge(xs), {id(x): x for x in xs}
-    pieces = ({key: a_homology(a, x, n) for key, x in distinct.items()} for n in degrees)
-    return [_wedge_check(a, w, n, [piece[id(x)] for x in xs]) for n, piece in zip(degrees, pieces)]
-
-
-def _wedge_check(a: ChainComplex, w: ChainComplex, n: int,
-                 pieces: Sequence[FgAbGroup]) -> AxiomCheck:
-    return AxiomCheck("wedge", a_homology(a, w, n), direct_sum(pieces),
-                      f"A={a.name}, pieces={len(pieces)}, n={n}")
-
-
-def axiom_checks(a: ChainComplex, x: ChainComplex, degrees: Sequence[int]) -> list[AxiomCheck]:
-    """The suspension check of x and the wedge check of x v x, alternating
-    per degree; each H^A_n(x), the left side of the suspension check, is
-    formed once and is also both pieces of the wedge check."""
-    w = wedge([x, x])
-    return [check for s, n in zip(check_suspension_axiom(a, x, degrees), degrees)
-            for check in (s, _wedge_check(a, w, n, [s.left, s.left]))]
+    sx, w = suspension(x), wedge(pieces)
+    distinct = {id(c): c for c in (x, *pieces)}
+    checks = []
+    for n in degrees:
+        h = {key: a_homology(a, c, n) for key, c in distinct.items()}
+        checks += [AxiomCheck("suspension", h[id(x)], a_homology(a, sx, n + 1),
+                              f"A={a.name}, X={x.name}, n={n}"),
+                   AxiomCheck("wedge", a_homology(a, w, n), direct_sum([h[id(c)] for c in pieces]),
+                              f"A={a.name}, pieces={len(pieces)}, n={n}")]
+    return checks
 
 
 class MooreHomologySes(namedtuple("MooreHomologySes", "ext_part hom_part middle")):

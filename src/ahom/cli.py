@@ -194,7 +194,7 @@ def _cmd_axioms(args) -> int:
     a = _build_complex(args.A)
     x = _build_complex(args.X)
     degrees = [args.n] if args.n is not None else list(range(0, x.top_degree + 2))
-    checks = axiom_checks(a, x, degrees)
+    checks = axiom_checks(a, x, [x, x], degrees)
     _emit(args, lambda: "\n".join(c.line() for c in checks),
           lambda: [{"axiom": c.axiom, "holds": c.holds, "detail": c.detail,
                     "left": str(c.left), "right": str(c.right)} for c in checks])

@@ -181,8 +181,7 @@ def relative_federer_e2(a: ChainComplex, table: HomotopyTable) -> BigradedPage:
 # Collapse analysis
 # ---------------------------------------------------------------------------
 
-class DiagonalVerdict(namedtuple("DiagonalVerdict", "n surviving verdict group notes",
-                                 defaults=(None, ()))):
+class DiagonalVerdict(namedtuple("DiagonalVerdict", "n surviving verdict group notes")):
     """What position analysis alone can say about one total degree.
 
     `surviving` holds a (p, q, group, status) tuple per nonzero cell, and
@@ -368,8 +367,8 @@ def e2_consistency_with_ahomology(a: ChainComplex, x: ChainComplex,
         raise ValueError("consistency check needs n >= 1")
     q_max = max(n + a.top_degree, 1)
     # pi_1 of the symmetric-product target is abelian, so nothing is refused
-    page = BigradedPage(ABSOLUTE, (-a.top_degree, -1), (1, q_max), a,
-                        {q: homology(x, q) for q in range(1, q_max + 1)})
+    page = federer_e2(a, HomotopyTable(ABSOLUTE, {q: homology(x, q) for q in range(1, q_max + 1)},
+                                       True))
     # p + q = n >= 1 puts every cell of the diagonal above the edge: all exact
     diagonal_sum = direct_sum(page.group(p, q) for p, q in page.diagonal(n))
     formula_value = a_homology(a, x, n)

@@ -10,8 +10,6 @@ from ahom.ahomology import (
     a_homology,
     a_homology_range,
     axiom_checks,
-    check_suspension_axiom,
-    check_wedge_axiom,
     moore_a_homology_ses,
     render_report,
     report_to_json,
@@ -153,24 +151,24 @@ class TestRangeReport:
 
 class TestAxioms:
     def test_suspension_example(self):
-        assert check_suspension_axiom(projective(2), sphere(4), [2])[0].holds
+        assert axiom_checks(projective(2), sphere(4), [], [2])[0].holds
 
     def test_suspension_trivial_target(self):
-        assert check_suspension_axiom(projective(2), wedge([]), [3])[0].holds
+        assert axiom_checks(projective(2), wedge([]), [], [3])[0].holds
 
     def test_suspension_moore_shapes(self):
-        assert check_suspension_axiom(moore(FgAbGroup.cyclic(4), 1), projective(2), [1])[0].holds
+        assert axiom_checks(moore(FgAbGroup.cyclic(4), 1), projective(2), [], [1])[0].holds
 
     def test_wedge_example(self):
-        [check] = check_wedge_axiom(projective(2), [sphere(4), sphere(4)], [2])
+        [_, check] = axiom_checks(projective(2), sphere(4), [sphere(4), sphere(4)], [2])
         assert check.holds
         assert check.left == FgAbGroup.of(0, [2, 2])
 
     def test_wedge_empty(self):
-        assert check_wedge_axiom(projective(3), [], [2])[0].holds
+        assert axiom_checks(projective(3), sphere(2), [], [2])[1].holds
 
     def test_wedge_mixed(self):
-        assert check_wedge_axiom(moore(Z2, 1), [sphere(3), moore(Z2, 3)], [1])[0].holds
+        assert axiom_checks(moore(Z2, 1), sphere(1), [sphere(3), moore(Z2, 3)], [1])[1].holds
 
     def test_axioms_randomized(self):
         rng = random.Random(53)
@@ -178,40 +176,48 @@ class TestAxioms:
             a = random_complex(rng, max_top=3, max_rank=3)
             x = connected_complex(rng, max_top=4, max_rank=4)
             n = rng.randint(0, 6)
-            assert check_suspension_axiom(a, x, [n])[0].holds
             pieces = [connected_complex(rng, max_top=3, max_rank=3)
                       for _ in range(rng.randint(0, 3))]
-            assert check_wedge_axiom(a, pieces, [n])[0].holds
+            s, w = axiom_checks(a, x, pieces, [n])
+            assert s.holds
+            assert w.holds
 
     def test_degree_sequence_matches_single_degrees(self):
         a, x = projective(3), moore(FgAbGroup.of(1, [2]), 2)
         degrees = [4, 0, 2, 2]
-        assert check_suspension_axiom(a, x, degrees) == [
-            check_suspension_axiom(a, x, [n])[0] for n in degrees]
-        assert check_wedge_axiom(a, [x, x], degrees) == [
-            check_wedge_axiom(a, [x, x], [n])[0] for n in degrees]
-        assert check_wedge_axiom(a, [x], []) == []
+        for pieces in ([x, x], [sphere(2), x], []):
+            assert axiom_checks(a, x, pieces, degrees) == [
+                check for n in degrees for check in axiom_checks(a, x, pieces, [n])]
+        assert axiom_checks(a, x, [x], []) == []
 
     def test_wedge_sums_a_repeated_piece_once(self, monkeypatch):
         a, x, y = projective(3), moore(FgAbGroup.of(1, [2]), 2), sphere(3)
         real, calls = ahomology.a_homology, []
         monkeypatch.setattr(ahomology, "a_homology",
                             lambda shape, target, n: calls.append(n) or real(shape, target, n))
-        [check] = check_wedge_axiom(a, [x, y, x], [2])
-        assert len(calls) == 3  # the wedge, x and y
+        [_, check] = axiom_checks(a, x, [x, y, x], [2])
+        assert len(calls) == 4  # the suspension, the wedge, x and y
         assert check.holds
         assert check.right == direct_sum([real(a, x, 2), real(a, y, 2), real(a, x, 2)])
 
     def test_axiom_checks_alternate_the_two_checkers(self):
-        a, x = projective(3), moore(FgAbGroup.of(1, [2]), 2)
+        a, x, y = projective(3), moore(FgAbGroup.of(1, [2]), 2), sphere(3)
         degrees = [4, 0, 2, 2]
-        pairs = zip(check_suspension_axiom(a, x, degrees), check_wedge_axiom(a, [x, x], degrees))
-        assert axiom_checks(a, x, degrees) == [check for pair in pairs for check in pair]
+        checks = axiom_checks(a, x, [x, y], degrees)
+        assert [c.axiom for c in checks] == ["suspension", "wedge"] * len(degrees)
+        for n, s, w in zip(degrees, checks[::2], checks[1::2]):
+            assert s == ahomology.AxiomCheck(
+                "suspension", a_homology(a, x, n), a_homology(a, suspension(x), n + 1),
+                f"A={a.name}, X={x.name}, n={n}")
+            assert w == ahomology.AxiomCheck(
+                "wedge", a_homology(a, wedge([x, y]), n),
+                direct_sum([a_homology(a, x, n), a_homology(a, y, n)]),
+                f"A={a.name}, pieces=2, n={n}")
 
     def test_suspension_axiom_needs_connected_target(self):
         # the formula presupposes a connected target: an extra 0-cell breaks
         # the degree-0 instance, which the checker faithfully reports
-        [check] = check_suspension_axiom(sphere(0), sphere(0), [0])
+        [check, _] = axiom_checks(sphere(0), sphere(0), [], [0])
         assert not check.holds
 
 

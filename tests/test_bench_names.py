@@ -5,9 +5,11 @@ and attribute, and ``bench/tests`` checks that ``chains.kernel_basis`` and
 ``corpus.snf`` are rebound too.  ``bench/tests/test_bench.py`` also imports
 and calls a few library functions directly.  The tracer names the row of
 each entry of ``corpus.ALL_CHECKS`` from its function's name, which must
-give the name the check reports.  Those tests live outside this
-suite, so a rename or a signature change would otherwise only show as a
-failing ``bench/run.py --trace 1`` or ``pytest bench/tests``.
+give the name the check reports, and it reads ``SmithDecomposition.S``,
+``U`` and ``V`` off each ``snf`` result and ``entries`` off each page.
+Those tests live outside this suite, so a rename or a signature change
+would otherwise only show as a failing ``bench/run.py --trace 1`` or
+``pytest bench/tests``.
 """
 
 import importlib
@@ -18,7 +20,9 @@ from pathlib import Path
 import pytest
 
 from ahom import corpus
-from ahom.chains import ChainComplex
+from ahom.abelian import FgAbGroup, IntMatrix, snf
+from ahom.chains import ChainComplex, homology
+from ahom.federer import ABSOLUTE, HomotopyTable, federer_e2
 from ahom.spaces import build, parse_recipe, projective
 from helpers import check_name, complex_to_json
 
@@ -36,14 +40,14 @@ BENCH_TEST_IMPORTS = [
 ]
 
 
-def _traced():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(mod, attr) for mod, attr, _ in module.TRACED]
+    return module
 
 
-NAMES = _traced() + [("chains", "kernel_basis"), ("corpus", "snf")]
+NAMES = [(mod, attr) for mod, attr, _ in _tracing().TRACED] + [("chains", "kernel_basis"), ("corpus", "snf")]
 # a name listed twice would rename both parameter ids
 NAMES += [name for name in BENCH_TEST_IMPORTS if name not in NAMES]
 
@@ -65,3 +69,20 @@ def test_traced_check_names_are_the_reported_names():
     reported = [r["name"] for r in json.loads(CORPUS_JSON.read_text())]
     assert [check_name(check) for check in corpus.ALL_CHECKS] == reported
     assert all(getattr(corpus, check.__name__) is check for check in corpus.ALL_CHECKS)
+
+
+def test_tracer_observes_real_values():
+    # the observers read dec.S, dec.U, dec.V and len(page.entries), so none
+    # of them can leave the library while bench/run.py --trace 1 reads them
+    tracer = _tracing().Tracer()
+    m = IntMatrix.from_rows([[2, 4], [6, 9]])
+    tracer._observe_snf((m,), snf(m))
+    x = projective(3)
+    tracer._observe_homology((x, 1), homology(x, 1))
+    page = federer_e2(projective(2), HomotopyTable(ABSOLUTE, {1: FgAbGroup.free(1),
+                                                              2: FgAbGroup.cyclic(2)}, True))
+    tracer._observe_page((projective(2), None), page)
+    assert all(tracer.maxima[f"abelian.snf.max_{row}"] > 0
+               for row in ("cells", "entry_bits", "transform_bits"))
+    assert [len(keys) for keys in tracer._distinct.values()] == [1]
+    assert tracer.page_cells == len(page.entries) == 4

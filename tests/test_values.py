@@ -39,7 +39,7 @@ SAMPLES = {
     "AHomologyReport": ("a_name x_name range groups assumptions violations",
                         lambda: a_homology_range(projective(2), projective(3))),
     "AxiomCheck": ("axiom left right detail",
-                   lambda: axiom_checks(projective(2), sphere(3), [1])[0]),
+                   lambda: axiom_checks(projective(2), sphere(3), [], [1])[0]),
     "MooreHomologySes": ("ext_part hom_part middle",
                          lambda: moore_a_homology_ses(Z2, 1, [projective(3)], [1])[0]),
     "CheckResult": ("name passed detail", lambda: CheckResult("sample", True, "1 case")),
