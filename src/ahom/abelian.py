@@ -237,19 +237,19 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> b
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-class SmithDecomposition(namedtuple("SmithDecomposition", "U diagonal V source")):
-    """Certificate U @ source @ V == S with U, V unimodular and S diagonal.
+class SmithDecomposition(namedtuple("SmithDecomposition", "U diagonal V")):
+    """Certificate U @ m @ V == S of a matrix m, with U, V unimodular and S diagonal.
 
-    It holds U, V and the diagonal, and builds S from them on each read.
-    The diagonal is nonnegative, each entry divides the next, and zeros trail.
-    U and V are empty (rows x 0 and 0 x cols) without a certificate.
+    It holds U, V and the diagonal, not m, and builds S (U.rows x V.cols) on
+    each read.  The diagonal is nonnegative, each entry divides the next, and
+    zeros trail.  U and V are empty (rows x 0 and 0 x cols) without a certificate.
     """
 
     __slots__ = ()
 
     @property
     def S(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.diagonal, self.source.rows, self.source.cols)
+        return IntMatrix.diagonal(self.diagonal, self.U.rows, self.V.cols)
 
     @property
     def rank(self) -> int:
@@ -310,7 +310,7 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     n, k = (rows, cols) if certificate else (0, 0)  # U is rows x n, V is k x cols
     return SmithDecomposition(U=IntMatrix(rows, n, tuple(map(tuple, urows))),
                               diagonal=tuple(diag),
-                              V=IntMatrix(k, cols, tuple(_transpose(vcols, k))), source=m)
+                              V=IntMatrix(k, cols, tuple(_transpose(vcols, k))))
 
 
 def column_echelon(cols: list[Sequence[int]],

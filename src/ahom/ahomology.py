@@ -11,9 +11,10 @@ homology, which is one of the corpus checks.  Each H^k(A; g) is kept on A by
 :func:`~ahom.chains.cohomology_uct`, so sums asked for again cost no Hom/Ext.
 
 One ``axiom_checks(a, x, pieces, degrees)`` checks the suspension and wedge
-axioms.  It and the Moore-space short-exact-sequence decomposition are
-verification tools: on valid inputs they must always succeed, so a failing
-check is evidence of a bug, not of new mathematics.
+axioms.  One ``MooreSes`` carries the Moore-coefficient short exact
+sequence, for this homology and for the homotopy of ``federer`` alike.  Both
+are verification tools: on valid inputs they must always succeed, so a
+failing check is evidence of a bug, not of new mathematics.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .abelian import FgAbGroup, direct_sum, ext, hom
+from .abelian import FgAbGroup, direct_sum, exponent, ext, hom
 from .chains import ChainComplex, cohomology_uct, homology, suspension, wedge
 from .spaces import moore
 
@@ -149,26 +150,32 @@ def axiom_checks(a: ChainComplex, x: ChainComplex, pieces: Sequence[ChainComplex
     return checks
 
 
-class MooreHomologySes(namedtuple("MooreHomologySes", "ext_part hom_part middle")):
-    """The two end terms of the Moore-coefficient short exact sequence and
-    the middle group as the formula computes it.
+class MooreSes(namedtuple("MooreSes", "ext_part hom_part middle")):
+    """The Moore-coefficient short exact sequence Ext(g, T_(n+m+1)) -> middle
+    -> Hom(g, T_(n+m)), with T the homology of x or the homotopy of Y.
 
-    The sequence places the middle between Ext(g, H_(n+m+1)(x)) and
-    Hom(g, H_(n+m)(x)); when everything is finite the middle's order is the
-    product of the end orders, but the extension itself is not resolved.
+    `middle` is H^A_n(x) for homology and None for homotopy, whose middle is
+    not claimed.  What is claimed derives from the end terms alone: the middle
+    has order `order_product` and exponent dividing `exponent_bound`, each an
+    int, or math.inf; the extension itself is not resolved.
     """
 
     __slots__ = ()
 
+    @property
+    def order_product(self) -> int | float:
+        return self.ext_part.order() * self.hom_part.order()
+
+    @property
+    def exponent_bound(self) -> int | float:
+        return exponent(self.ext_part) * exponent(self.hom_part)
+
 
 def moore_a_homology_ses(g: FgAbGroup, m: int, xs: Sequence[ChainComplex],
-                         degrees: Sequence[int]) -> list[MooreHomologySes]:
+                         degrees: Sequence[int]) -> list[MooreSes]:
     """The sequence for each target in `xs` and each n in `degrees`, target by
-    target; M(g, m) is built once, so its homology and the cohomology kept
-    on it serve every pair."""
-    if m < 1:
-        raise ValueError("the Moore degree m must be >= 1")
+    target; M(g, m) is built once (m < 1 raises ValueError), so its homology
+    and the cohomology kept on it serve every pair."""
     a = moore(g, m)
-    return [MooreHomologySes(ext_part=ext(g, homology(x, n + m + 1)),
-                             hom_part=hom(g, homology(x, n + m)),
-                             middle=a_homology(a, x, n)) for x in xs for n in degrees]
+    return [MooreSes(ext(g, homology(x, n + m + 1)), hom(g, homology(x, n + m)),
+                     a_homology(a, x, n)) for x in xs for n in degrees]

@@ -296,10 +296,9 @@ def check_moore_ses_orders() -> tuple[bool, str]:
                 if not (ses.ext_part.is_finite() and ses.hom_part.is_finite()
                         and ses.middle.is_finite()):
                     continue
-                if ses.middle.order() != ses.ext_part.order() * ses.hom_part.order():
+                if ses.middle.order() != ses.order_product:
                     return False, f"g={g}, m={m}, X={x.name}, n={n}: order mismatch"
-                bound = exponent(ses.ext_part) * exponent(ses.hom_part)
-                if bound % exponent(ses.middle):
+                if ses.exponent_bound % exponent(ses.middle):
                     return False, f"g={g}, m={m}, X={x.name}, n={n}: exponent bound broken"
                 finite_cases += 1
     # the projective-plane coefficient bound: every element has order 1, 2 or 4

@@ -21,9 +21,10 @@ endpoint it could interact with is forced to vanish.  Diagonals that would
 need table entries beyond q_max are reported out of range, never silently
 truncated.
 
-The page is also the engine behind the Hopf-Whitney calculators, the
-Moore-space bounds on homotopy groups, and the torsion-class propagation
-report.
+The page is also the engine behind the Hopf-Whitney calculators and the
+torsion-class propagation report.  The Moore-space bounds on homotopy groups
+come as the one ``ahomology.MooreSes`` that also carries the homology
+sequence, with no middle claimed.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from .abelian import (
     PrimeSet,
     canonical_int,
     direct_sum,
-    exponent,
     ext,
     hom,
     in_class,
     parse_group,
 )
 from .chains import ChainComplex, cohomology_uct, homology, read_json
-from .ahomology import a_homology
+from .ahomology import MooreSes, a_homology
 from .spaces import is_suspension_shaped
 
 ABSOLUTE = "absolute"
@@ -274,22 +274,8 @@ def relative_hopf_whitney(k: ChainComplex, pi_rel: FgAbGroup) -> FgAbGroup:
 # Moore-coefficient bounds on homotopy groups
 # ---------------------------------------------------------------------------
 
-class MooreHomotopySes(namedtuple("MooreHomotopySes",
-                                  "ext_part hom_part order_product exponent_bound")):
-    """End terms of the short exact sequence around pi_n shaped by a Moore
-    space: Ext(g, pi_(n+m+1)) feeds in, Hom(g, pi_(n+m)) projects out.
-
-    The middle group itself is not claimed; `order_product` and
-    `exponent_bound` are the consequences that are: the middle has exactly
-    that order (finite case) and exponent dividing the bound; each is an
-    int, or math.inf.
-    """
-
-    __slots__ = ()
-
-
-def moore_homotopy_ses(g: FgAbGroup, m: int, table: HomotopyTable,
-                       n: int) -> MooreHomotopySes:
+def moore_homotopy_ses(g: FgAbGroup, m: int, table: HomotopyTable, n: int) -> MooreSes:
+    """The sequence around pi_n shaped by M(g, m), its middle not claimed."""
     if m < 1:
         raise ValueError("the Moore degree m must be >= 1")
     if n < 1:
@@ -302,14 +288,7 @@ def moore_homotopy_ses(g: FgAbGroup, m: int, table: HomotopyTable,
     for q in (n + m, n + m + 1):
         if q not in table.entries:
             raise TableRangeMiss(f"refused: homotopy table does not cover q = {q}")
-    ext_part = ext(g, table.entries[n + m + 1])
-    hom_part = hom(g, table.entries[n + m])
-    return MooreHomotopySes(
-        ext_part=ext_part,
-        hom_part=hom_part,
-        order_product=ext_part.order() * hom_part.order(),
-        exponent_bound=exponent(ext_part) * exponent(hom_part),
-    )
+    return MooreSes(ext(g, table.entries[n + m + 1]), hom(g, table.entries[n + m]), None)
 
 
 # ---------------------------------------------------------------------------

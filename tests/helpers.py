@@ -60,6 +60,37 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
+def valuation(x: int, p: int) -> int:
+    """The exponent of p in a nonzero integer x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def local_smith_exponents(rows, p: int, e: int) -> list[int]:
+    """The exponents v with 1 <= v < e of the Smith form over Z/p^e of a
+    matrix given as a list of rows, sorted.  Each pivot is an entry of least
+    p-adic valuation, p^v times a unit; it divides every other entry, so its
+    row clears its column and the rest of its row then clears by column
+    operations that touch nothing else, leaving p^v as one local invariant
+    factor.  No Smith or Hermite work over Z is done."""
+    q = p ** e
+    rows = [[x % q for x in row] for row in rows]
+    found = []
+    while entries := [(valuation(x, p), i, j) for i, row in enumerate(rows)
+                      for j, x in enumerate(row) if x]:
+        v, i, j = min(entries)
+        if v:
+            found.append(v)
+        top = rows.pop(i)
+        inverse = pow(top[j] // p ** v, -1, q)
+        rows = [[(x - row[j] // p ** v * inverse * y) % q
+                 for k, (x, y) in enumerate(zip(row, top)) if k != j] for row in rows]
+    return sorted(found)
+
+
 def elements(g: FgAbGroup):
     """All elements of a finite group as coordinate tuples."""
     assert g.is_finite()
@@ -599,8 +630,7 @@ def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     return SmithDecomposition(
         U=IntMatrix(rows, ut.rows, tuple(tuple(r) for r in urows)),
         diagonal=tuple(diag),
-        V=IntMatrix(v.rows, cols, tuple(zip(*vcols))),
-        source=m)
+        V=IntMatrix(v.rows, cols, tuple(zip(*vcols))))
 
 
 def smash(x: ChainComplex, y: ChainComplex) -> ChainComplex:

@@ -39,7 +39,7 @@ def test_corpus_verb_runs_everything(capsys):
 ], ids=["off-diagonal", "det-2", "broken-chain", "other-diagonal"])
 def test_snf_certificate_check_rejects_a_bad_decomposition(monkeypatch, m_rows, u_rows, diagonal):
     m, identity = IntMatrix.from_rows(m_rows), IntMatrix.from_rows([[1, 0], [0, 1]])
-    bad = SmithDecomposition(IntMatrix.from_rows(u_rows), diagonal, identity, m)
+    bad = SmithDecomposition(IntMatrix.from_rows(u_rows), diagonal, identity)
     assert corpus._snf_certificate_ok(m)
     monkeypatch.setattr(corpus, "snf", lambda _: bad)
     assert not corpus._snf_certificate_ok(m)

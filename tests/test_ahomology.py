@@ -16,6 +16,7 @@ from ahom.ahomology import (
 )
 from ahom.chains import cohomology_uct, homology, suspension, wedge
 from ahom.corpus import check_moore_ses_orders, connected_complex, random_complex, random_group
+from ahom.federer import ABSOLUTE, HomotopyTable, moore_homotopy_ses
 from ahom.spaces import moore, projective, sphere
 from helpers import divides, hom_complex, window_a_homology
 
@@ -264,6 +265,25 @@ class TestMooreSes:
             assert divides(exponent(ses.middle),
                            exponent(ses.ext_part) * exponent(ses.hom_part))
             checked += 1
+
+    def test_homotopy_sequence_of_a_homology_table_is_the_homology_sequence(self):
+        # fed T_q = H_q(x), the homotopy sequence must take Ext at n+m+1 and
+        # Hom at n+m, as the homology sequence does
+        rng = random.Random(67)
+        nontrivial_ext = nontrivial_hom = 0
+        for _ in range(300):
+            x = random_complex(rng)
+            g = random_group(rng, max_rank=0, max_factors=2, max_order=12)
+            m, n = rng.randint(1, 2), rng.randint(1, 3)
+            table = HomotopyTable(ABSOLUTE, {q: homology(x, q) for q in range(1, n + m + 2)}, True)
+            pi_ses = moore_homotopy_ses(g, m, table, n)
+            [h_ses] = moore_a_homology_ses(g, m, [x], [n])
+            assert pi_ses.middle is None
+            assert ((pi_ses.ext_part, pi_ses.hom_part, pi_ses.order_product, pi_ses.exponent_bound)
+                    == (h_ses.ext_part, h_ses.hom_part, h_ses.order_product, h_ses.exponent_bound))
+            nontrivial_ext += not h_ses.ext_part.is_trivial()
+            nontrivial_hom += not h_ses.hom_part.is_trivial()
+        assert min(nontrivial_ext, nontrivial_hom) >= 5
 
     def test_targets_and_degrees_match_single_pairs(self):
         g, targets, degrees = FgAbGroup.of(1, [2]), [projective(2), sphere(3), wedge([])], [3, 1, 1]

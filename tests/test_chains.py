@@ -30,10 +30,9 @@ from ahom.chains import (
 from ahom.corpus import connected_complex, random_complex, random_group
 from ahom.spaces import moore, projective, sphere
 from helpers import (boundary, brute_cohomology_orders, complex_to_json, hadamard_square, kunneth,
-                     order_counts, rank_mod_p, reference_random_complex, scrambled_complex,
-                     smash,
-                     unmemoized_uct,
-                     unreduced_graded_homology)
+                     local_smith_exponents, order_counts, rank_mod_p, reference_random_complex,
+                     scrambled_complex, smash, unmemoized_uct, unreduced_graded_homology,
+                     valuation)
 
 Z = FgAbGroup.free(1)
 Z2 = FgAbGroup.cyclic(2)
@@ -325,6 +324,38 @@ class TestModPOracle:
             for n in range(c.top_degree + 1):
                 assert (c.rank(n) - rank.get(n, 0) - rank.get(n + 1, 0)
                         == h.get(n, TRIVIAL).free_rank + t(n) + t(n - 1)), (p, n)
+
+
+LOCAL_PRIMES = (2, 3, 5, 7)
+LOCAL_EXPONENT = 5
+
+
+class TestLocalSmithOracle:
+    """The torsion of H_n is that of the cokernel of d_(n+1), so the
+    exponents 1 <= v < e of the local Smith form of d_(n+1) over Z/p^e are
+    the p-parts below p^e of the invariant factors of H_n.  Unlike ranks mod
+    p, they see which power of p a factor holds, and they take no Smith or
+    Hermite work over Z."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_graded_homology_against_local_smith_forms(self, seed, planted):
+        rng = random.Random(seed)
+        if planted:  # powers of each prime up to and past p^e, and some products
+            orders = (2, 4, 8, 16, 32, 3, 9, 27, 81, 5, 25, 7, 49, 12, 72, 100)
+            pieces = [(rng.randint(0, 4), kind, rng.choice(orders) if kind == "torsion"
+                       else rng.choice((1, -1))) for kind in rng.choices(
+                           ("unit", "torsion", "free"), k=rng.randint(1, 24))]
+            c = scrambled_complex(rng, pieces)[0]
+        else:
+            c = random_complex(rng, max_rank=7)
+        h = c.graded_homology
+        for p in LOCAL_PRIMES:
+            for n in range(c.top_degree + 1):
+                want = sorted(v for d in h.get(n, TRIVIAL).invariant_factors
+                              if 1 <= (v := valuation(d, p)) < LOCAL_EXPONENT)
+                local = local_smith_exponents(boundary(c, n + 1).entries, p, LOCAL_EXPONENT)
+                assert local == want, (p, n)
 
 
 class TestUnitReduction:

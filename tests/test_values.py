@@ -12,12 +12,12 @@ import pytest
 
 import ahom
 from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, SmithDecomposition, snf
-from ahom.ahomology import axiom_checks, a_homology_range, moore_a_homology_ses
+from ahom.ahomology import MooreSes, axiom_checks, a_homology_range, moore_a_homology_ses
 from ahom.chains import ChainComplex, cohomology_uct
 from ahom.corpus import CheckResult
 from ahom.federer import (ABSOLUTE, BigradedPage, HomotopyTable, collapse_report,
                           e2_consistency_with_ahomology, federer_e2, hopf_whitney,
-                          moore_homotopy_ses, torsion_class_check)
+                          torsion_class_check)
 from ahom.spaces import projective, sphere
 
 Z2 = FgAbGroup.cyclic(2)
@@ -31,7 +31,7 @@ def _table() -> HomotopyTable:
 # type name -> (its field names in order, a builder of a fresh sample)
 SAMPLES = {
     "IntMatrix": ("rows cols entries", lambda: IntMatrix.from_rows([[2, 0], [0, 3]])),
-    "SmithDecomposition": ("U diagonal V source",
+    "SmithDecomposition": ("U diagonal V",
                            lambda: snf(IntMatrix.from_rows([[2, 4], [6, 8]]))),
     "FgAbGroup": ("free_rank invariant_factors", lambda: FgAbGroup.of(1, [2, 6])),
     "PrimeSet": ("primes", lambda: PrimeSet.of(2, 3)),
@@ -40,16 +40,14 @@ SAMPLES = {
                         lambda: a_homology_range(projective(2), projective(3))),
     "AxiomCheck": ("axiom left right detail",
                    lambda: axiom_checks(projective(2), sphere(3), [], [1])[0]),
-    "MooreHomologySes": ("ext_part hom_part middle",
-                         lambda: moore_a_homology_ses(Z2, 1, [projective(3)], [1])[0]),
+    "MooreSes": ("ext_part hom_part middle",
+                 lambda: moore_a_homology_ses(Z2, 1, [projective(3)], [1])[0]),
     "CheckResult": ("name passed detail", lambda: CheckResult("sample", True, "1 case")),
     "HomotopyTable": ("variant entries abelian_assumption", _table),
     "BigradedPage": ("variant p_range q_range a pi", lambda: federer_e2(projective(2), _table())),
     "DiagonalVerdict": ("n surviving verdict group notes",
                         lambda: collapse_report(federer_e2(projective(2), _table()), 2)),
     "HopfWhitneyResult": ("group structure", lambda: hopf_whitney(projective(2), Z2)),
-    "MooreHomotopySes": ("ext_part hom_part order_product exponent_bound",
-                         lambda: moore_homotopy_ses(Z2, 1, _table(), 1)),
     "TorsionClassReport": ("primes hypothesis_holds hypothesis_failures entries_in_class "
                            "diagonal_flags",
                            lambda: torsion_class_check(projective(2), _table(), PrimeSet.of(2))),
@@ -70,7 +68,9 @@ def _read_derived(value) -> list[str]:
         cohomology_uct(value, 2, Z2)
         return ["graded_homology", "_cohomology"]
     if isinstance(value, SmithDecomposition):
-        assert value.S == IntMatrix.diagonal(value.diagonal, value.source.rows, value.source.cols)
+        assert value.S == IntMatrix.diagonal(value.diagonal, 2, 2)
+    if isinstance(value, MooreSes):
+        assert (value.order_product, value.exponent_bound) == (2, 2)
     if isinstance(value, BigradedPage):
         assert len(value.entries) == 2 * 4
     return []
