@@ -17,7 +17,7 @@ from ahom.chains import ChainComplex, cohomology_uct
 from ahom.corpus import CheckResult
 from ahom.federer import (ABSOLUTE, BigradedPage, HomotopyTable, collapse_report,
                           e2_consistency_with_ahomology, federer_e2, hopf_whitney,
-                          torsion_class_check)
+                          moore_homotopy_ses, torsion_class_check)
 from ahom.spaces import projective, sphere
 
 Z2 = FgAbGroup.cyclic(2)
@@ -28,7 +28,8 @@ def _table() -> HomotopyTable:
                                     4: FgAbGroup.trivial()}, True)
 
 
-# type name -> (its field names in order, a builder of a fresh sample)
+# case name -> (its field names in order, a builder of a fresh sample); a case is
+# named after its type, save the two Moore sequences that share MooreSes
 SAMPLES = {
     "IntMatrix": ("rows cols entries", lambda: IntMatrix.from_rows([[2, 0], [0, 3]])),
     "SmithDecomposition": ("U diagonal V",
@@ -40,14 +41,16 @@ SAMPLES = {
                         lambda: a_homology_range(projective(2), projective(3))),
     "AxiomCheck": ("axiom left right detail",
                    lambda: axiom_checks(projective(2), sphere(3), [], [1])[0]),
-    "MooreSes": ("ext_part hom_part middle",
-                 lambda: moore_a_homology_ses(Z2, 1, [projective(3)], [1])[0]),
+    "MooreHomologySes": ("ext_part hom_part middle",
+                         lambda: moore_a_homology_ses(Z2, 1, [projective(3)], [1])[0]),
     "CheckResult": ("name passed detail", lambda: CheckResult("sample", True, "1 case")),
     "HomotopyTable": ("variant entries abelian_assumption", _table),
     "BigradedPage": ("variant p_range q_range a pi", lambda: federer_e2(projective(2), _table())),
     "DiagonalVerdict": ("n surviving verdict group notes",
                         lambda: collapse_report(federer_e2(projective(2), _table()), 2)),
     "HopfWhitneyResult": ("group structure", lambda: hopf_whitney(projective(2), Z2)),
+    "MooreHomotopySes": ("ext_part hom_part middle",
+                         lambda: moore_homotopy_ses(Z2, 1, _table(), 1)),
     "TorsionClassReport": ("primes hypothesis_holds hypothesis_failures entries_in_class "
                            "diagonal_flags",
                            lambda: torsion_class_check(projective(2), _table(), PrimeSet.of(2))),
@@ -59,6 +62,8 @@ SAMPLES = {
 UNHASHABLE = {"ChainComplex", "AHomologyReport", "HomotopyTable", "BigradedPage",
               "TorsionClassReport"}
 
+TYPE_OF = {"MooreHomologySes": "MooreSes", "MooreHomotopySes": "MooreSes"}
+
 
 def _read_derived(value) -> list[str]:
     """Read every value a sample derives; the names of those it keeps, which
@@ -69,8 +74,9 @@ def _read_derived(value) -> list[str]:
         return ["graded_homology", "_cohomology"]
     if isinstance(value, SmithDecomposition):
         assert value.S == IntMatrix.diagonal(value.diagonal, 2, 2)
-    if isinstance(value, MooreSes):
-        assert (value.order_product, value.exponent_bound) == (2, 2)
+    if isinstance(value, MooreSes):  # the homotopy sample has no middle term
+        expected = (2, 2) if value.middle is not None else (8, 4)
+        assert (value.order_product, value.exponent_bound) == expected
     if isinstance(value, BigradedPage):
         assert len(value.entries) == 2 * 4
     return []
@@ -81,14 +87,15 @@ def test_value_type_contract(name):
     fields, make = SAMPLES[name]
     fields = fields.split()
     value = make()
-    assert type(value).__name__ == name
+    type_name = TYPE_OF.get(name, name)
+    assert type(value).__name__ == type_name
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             delattr(value, field)
 
-    shown = f"{name}({', '.join(f'{f}={getattr(value, f)!r}' for f in fields)})"
+    shown = f"{type_name}({', '.join(f'{f}={getattr(value, f)!r}' for f in fields)})"
     twin = type(value)(**{f: getattr(value, f) for f in fields})
     assert value == twin and twin == value
     assert repr(value) == repr(twin) == shown
