@@ -30,8 +30,12 @@ SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 30
 NOTES = {
     "verbs.peak_rss_mib": "follows the operation count: bench/run.py keeps every answer until "
-                          "the run ends, about 0.47 KiB per verbs operation, so a faster "
-                          "program reads as using more memory",
+                          "the run ends; over the 40 verbs runs of BENCH_26-29 it is 29.0 MiB "
+                          "+ 0.611 KiB per operation (r = 0.998), so a faster program reads "
+                          "as using more memory",
+    "large-complex.peak_rss_mib": "follows the operation count the same way: over the 40 "
+                                  "large-complex runs of BENCH_26-29 it is 20.8 MiB + 0.533 "
+                                  "KiB per operation (r = 0.994)",
     "traced": "per-op counts average over the prefix of the input cycle that the traced "
               "half of the run reaches, not over whole cycles",
 }

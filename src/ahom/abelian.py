@@ -139,13 +139,11 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         r = len(diag) if rows is None else rows
         c = len(diag) if cols is None else cols
         zero = (0,) * c  # rows are unpacked: joining slices by + peaks higher at 2,000 rows
-        return cls(r, c, tuple((*zero[:i], diag[i], *zero[i + 1:]) if i < min(len(diag), c)
-                               else zero for i in range(r)))
+        return tuple.__new__(cls, (r, c, tuple((*zero[:i], diag[i], *zero[i + 1:])
+                                               if i < min(len(diag), c) else zero
+                                               for i in range(r))))
 
     # -- queries ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
 
     def max_abs(self) -> int:
         return max(map(abs, chain.from_iterable(self.entries)), default=0)
@@ -162,8 +160,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return tuple.__new__(IntMatrix, (self.rows, other.cols, out))  # its shape holds by construction
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
+        return tuple.__new__(IntMatrix, (self.cols, self.rows, tuple(zip(*self.entries))
+                                         if self.rows else ((),) * self.cols))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -308,9 +306,9 @@ def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
             vcols[j] = [s * p * f - t * q * e for e, f in zip(vi, vj)]
             diag[i], diag[j] = g, x * q
     n, k = (rows, cols) if certificate else (0, 0)  # U is rows x n, V is k x cols
-    return SmithDecomposition(U=IntMatrix(rows, n, tuple(map(tuple, urows))),
-                              diagonal=tuple(diag),
-                              V=IntMatrix(k, cols, tuple(_transpose(vcols, k))))
+    u = tuple.__new__(IntMatrix, (rows, n, tuple(map(tuple, urows))))  # shaped as built
+    v = tuple.__new__(IntMatrix, (k, cols, tuple(_transpose(vcols, k))))
+    return SmithDecomposition(U=u, diagonal=tuple(diag), V=v)
 
 
 def column_echelon(cols: list[Sequence[int]],
@@ -397,7 +395,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     w = _unit_vectors(m.cols)
     raw = w[len(column_echelon(_transpose(m.entries, m.cols), w)):]
     column_echelon(raw)  # raw has independent columns, so H has no zero column
-    return IntMatrix(m.cols, len(raw), tuple(_transpose(raw, m.cols)))
+    return tuple.__new__(IntMatrix, (m.cols, len(raw), tuple(_transpose(raw, m.cols))))
 
 
 def solve(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
@@ -628,7 +626,8 @@ def residual_cokernel(rows: list[list[int]], orders: list[int]) -> FgAbGroup:
     without a certificate unless zero."""
     if not any(map(any, rows)):
         return FgAbGroup.of(len(rows), orders)
-    dec = snf(IntMatrix(len(rows), len(rows[0]), tuple(map(tuple, rows))), False)
+    residual = tuple.__new__(IntMatrix, (len(rows), len(rows[0]), tuple(map(tuple, rows))))
+    dec = snf(residual, False)
     return FgAbGroup.of(len(rows) - dec.rank, [*orders, *dec.diagonal[:dec.rank]])
 
 

@@ -222,13 +222,14 @@ def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     zero = (0,) * len(alpha[0])
     rank, orders = 0, []
     if g.free_rank:
-        coker = cokernel(IntMatrix(r, len(zero), alpha))
+        coker = cokernel(tuple.__new__(IntMatrix, (r, len(zero), alpha)))
         rank = (coker.free_rank - len(column_echelon(list(beta)))) * g.free_rank
         orders = list(coker.invariant_factors) * g.free_rank
     for d in g.invariant_factors:
         cone = tuple(row + zero for row in beta) + tuple(
             (0,) * i + (d,) + (0,) * (r - i - 1) + a for i, a in enumerate(alpha))
-        orders += cokernel(IntMatrix(len(cone), r + len(zero), cone)).invariant_factors
+        cone = tuple.__new__(IntMatrix, (len(cone), r + len(zero), cone))
+        orders += cokernel(cone).invariant_factors
     return FgAbGroup.of(rank, orders)
 
 

@@ -54,18 +54,31 @@ Z2 = FgAbGroup.cyclic(2)
 # Seeded generators
 # ---------------------------------------------------------------------------
 
+def uniform_int(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi), the same value from the same draws: on CPython
+    3.10-3.13 randint redraws getrandbits(k), k the bit length of the width,
+    until it falls below the width, and so does this, in one frame, not three."""
+    n = hi - lo + 1
+    if n < 1:  # randint raises here too; the redraw loop would never end
+        raise ValueError(f"empty range {lo}..{hi}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def random_matrix(rng: random.Random, max_dim: int = 8, bound: int = 10) -> IntMatrix:
-    rows = rng.randint(0, max_dim)
-    cols = rng.randint(0, max_dim)
+    rows, cols = uniform_int(rng, 0, max_dim), uniform_int(rng, 0, max_dim)
     return IntMatrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
+        [[uniform_int(rng, -bound, bound) for _ in range(cols)] for _ in range(rows)],
         cols=cols)
 
 
 def random_group(rng: random.Random, max_rank: int = 2, max_factors: int = 3,
                  max_order: int = 50) -> FgAbGroup:
-    rank = rng.randint(0, max_rank)
-    factors = [rng.randint(2, max_order) for _ in range(rng.randint(0, max_factors))]
+    rank = uniform_int(rng, 0, max_rank)
+    factors = [uniform_int(rng, 2, max_order) for _ in range(uniform_int(rng, 0, max_factors))]
     return FgAbGroup.of(rank, factors)
 
 
@@ -78,8 +91,8 @@ def random_complex(rng: random.Random, max_top: int = 5, max_rank: int = 5,
     bound are rejected and retried.
     """
     for _ in range(500):
-        top = rng.randint(0, max_top)
-        ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
+        top = uniform_int(rng, 0, max_top)
+        ranks = [uniform_int(rng, 0, max_rank) for _ in range(top + 1)]
         if rng.random() < 0.7 and ranks:
             ranks[0] = 0  # usually based and path-connected
         boundaries: dict[int, IntMatrix] = {}
@@ -90,17 +103,14 @@ def random_complex(rng: random.Random, max_top: int = 5, max_rank: int = 5,
             if cols == 0:
                 kernel = IntMatrix.identity(0)
                 continue
-            mixing = IntMatrix.from_rows(
-                [[rng.randint(-2, 2) if rng.random() < 0.5 else 0
-                  for _ in range(cols)]
-                 for _ in range(kernel.cols)],
-                cols=cols)
+            mixing = IntMatrix.from_rows([[uniform_int(rng, -2, 2) if rng.random() < 0.5 else 0
+                                           for _ in range(cols)] for _ in range(kernel.cols)],
+                                         cols=cols)
             bnd = kernel @ mixing
             if bnd.max_abs() > entry_bound:
                 overflow = True
                 break
-            if not bnd.is_zero():
-                boundaries[n] = bnd
+            boundaries[n] = bnd  # ChainComplex drops it when zero
             kernel = kernel_basis(bnd) if n < top else None  # the top one bounds no draw
         if overflow:
             continue
@@ -245,9 +255,9 @@ def check_snf_certificates() -> tuple[bool, str]:
             return False, f"matrix #{i}"
     square = 0
     while square < 100:
-        n = rng.randint(1, 6)
+        n = uniform_int(rng, 1, 6)
         m = IntMatrix.from_rows(
-            [[rng.randint(-10, 10) for _ in range(n)] for _ in range(n)])
+            [[uniform_int(rng, -10, 10) for _ in range(n)] for _ in range(n)])
         d = m.det()
         if d == 0:
             continue
@@ -270,9 +280,9 @@ def check_axioms() -> tuple[bool, str]:
     for i in range(triples):
         a = rng.choice([*pool, random_complex(rng, max_top=3, max_rank=3)])
         x = connected_complex(rng, max_top=4, max_rank=4)
-        n = rng.randint(0, 6)
+        n = uniform_int(rng, 0, 6)
         pieces = [connected_complex(rng, max_top=3, max_rank=3)
-                  for _ in range(rng.randint(0, 3))]
+                  for _ in range(uniform_int(rng, 0, 3))]
         for check in axiom_checks(a, x, pieces, [n]):
             if not check.holds:
                 return False, f"{check.axiom} #{i}: {check.line()}"
@@ -304,7 +314,7 @@ def check_moore_ses_orders() -> tuple[bool, str]:
     # the projective-plane coefficient bound: every element has order 1, 2 or 4
     for i in range(10):
         table = random_table(rng, q_max=7)
-        ses = moore_homotopy_ses(Z2, 1, table, rng.randint(1, 5))
+        ses = moore_homotopy_ses(Z2, 1, table, uniform_int(rng, 1, 5))
         if ses.exponent_bound not in (1, 2, 4):
             return False, f"projective-plane bound {ses.exponent_bound} > 4"
     return True, f"{finite_cases} finite instances, bound <= 4 on 10 tables"
@@ -344,7 +354,7 @@ def check_hopf_whitney() -> tuple[bool, str]:
     rng = random.Random(2008)
     for i in range(20):
         g = random_group(rng)
-        res = hopf_whitney(sphere(rng.randint(2, 6)), g)
+        res = hopf_whitney(sphere(uniform_int(rng, 2, 6)), g)
         if res.group != g or res.structure != GROUP_VALUED:
             return False, f"sphere case #{i}"
     res = hopf_whitney(projective(2), Z)
@@ -365,7 +375,7 @@ def check_cross_path() -> tuple[bool, str]:
     while triples < 30:
         a = rng.choice([*pool, connected_complex(rng, max_top=3, max_rank=3)])
         x = random_complex(rng, max_top=4, max_rank=4)
-        n = rng.randint(1, 5)
+        n = uniform_int(rng, 1, 5)
         check = e2_consistency_with_ahomology(a, x, n)
         if not check.holds:
             return False, (f"A={a.name}, X={x.name}, n={n}: "

@@ -7,9 +7,10 @@ and the Smith form built on it, the matrix adapter of the library's Hermite
 pass, the unmemoized Hom/Ext cohomology, the degree-window sum for shaped
 homology, the unreduced graded homology,
 the Hom complex whose homology is shaped homology, the smash product
-with its Kunneth formula, the full draw loop of random complexes and the
-eager second page with its collapse and torsion reports, which reduce
-through the library on purpose.
+with its Kunneth formula, the full draw loop of random complexes, the
+randint forms of the other seeded generators and the eager second page
+with its collapse and torsion reports, which reduce through the library
+on purpose.
 """
 
 import math
@@ -33,6 +34,11 @@ def check_name(check) -> str:
 
 def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, ((0,) * cols,) * rows)
+
+
+def is_zero(m: IntMatrix) -> bool:
+    """Whether every entry of m is zero."""
+    return not any(map(any, m.entries))
 
 
 def boundary(c: ChainComplex, n: int) -> IntMatrix:
@@ -405,13 +411,37 @@ def reference_random_complex(rng, max_top: int = 5, max_rank: int = 5,
             if bnd.max_abs() > entry_bound:
                 overflow = True
                 break
-            if not bnd.is_zero():
+            if not is_zero(bnd):
                 boundaries[n] = bnd
             kernel = kernel_basis(bnd)
         if overflow:
             continue
         return ChainComplex(name, {n: r for n, r in enumerate(ranks)}, boundaries)
     raise RuntimeError("could not draw a complex within the entry bound")
+
+
+def reference_random_matrix(rng, max_dim: int = 8, bound: int = 10) -> IntMatrix:
+    """corpus.random_matrix drawn through rng.randint."""
+    rows = rng.randint(0, max_dim)
+    cols = rng.randint(0, max_dim)
+    return IntMatrix.from_rows(
+        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def reference_random_group(rng, max_rank: int = 2, max_factors: int = 3,
+                           max_order: int = 50) -> FgAbGroup:
+    """corpus.random_group drawn through rng.randint."""
+    rank = rng.randint(0, max_rank)
+    factors = [rng.randint(2, max_order) for _ in range(rng.randint(0, max_factors))]
+    return FgAbGroup.of(rank, factors)
+
+
+def reference_random_table(rng, variant: str, q_max: int = 8,
+                           max_order: int = 24) -> HomotopyTable:
+    """corpus.random_table drawn through rng.randint."""
+    groups = {q: reference_random_group(rng, max_rank=1, max_factors=2, max_order=max_order)
+              for q in range(TABLE_START[variant], q_max + 1)}
+    return HomotopyTable(variant, groups, abelian_assumption=True)
 
 
 def constant_table(variant: str, group: FgAbGroup, q_max: int,

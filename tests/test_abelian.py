@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ahom import abelian, chains
 from ahom.abelian import (
     MAX_SUMMANDS,
     PRIME_LIMIT,
@@ -28,6 +29,7 @@ from ahom.abelian import (
     solve,
     split_pivots,
 )
+from ahom.chains import cohomology_direct
 from ahom.corpus import random_complex, random_matrix
 from helpers import (
     boundary,
@@ -36,6 +38,7 @@ from helpers import (
     divides,
     echelon,
     invert_unimodular,
+    is_zero,
     leibniz_det,
     pairwise_group,
     prime_factors,
@@ -137,6 +140,63 @@ class TestIntMatrix:
     def test_det_refuses_a_non_square_matrix(self):
         with pytest.raises(ValueError, match="non-square"):
             IntMatrix.from_rows([[1, 2]]).det()
+
+
+def assert_shaped(m: IntMatrix) -> None:
+    """m holds the shape it states, in tuples of ints: IntMatrix.__new__'s
+    check, which the matrices the library shapes itself skip."""
+    assert type(m) is IntMatrix and type(m.entries) is tuple and len(m.entries) == m.rows
+    for row in m.entries:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(x) is int for x in row)
+
+
+def shape_checked(fn):
+    """fn, asserting first that the matrix it is given holds its shape."""
+    def checked(m, *args):
+        assert_shaped(m)
+        return fn(m, *args)
+    return checked
+
+
+class TestLibraryShapedMatrices:
+    """transpose, diagonal, identity, @, kernel_basis and the Smith transforms
+    are built without IntMatrix.__new__'s check, as are the residual that
+    residual_cokernel hands to snf and the matrices cohomology_direct hands
+    to cokernel; each must hold the shape it states."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices, st.lists(st.integers(-10, 10), max_size=6), st.integers(0, 6),
+           st.integers(0, 6))
+    @example(IntMatrix(0, 4, ()), [], 0, 3)
+    @example(IntMatrix(4, 0, ((),) * 4), [5], 3, 0)
+    @example(IntMatrix(0, 0, ()), [2, 3], 0, 0)
+    def test_every_one_holds_its_shape(self, m, diag, rows, cols):
+        t = m.transpose()
+        built = [t, t.transpose(), m @ t, t @ m, kernel_basis(m), kernel_basis(t),
+                 IntMatrix.identity(rows), IntMatrix.diagonal(diag),
+                 IntMatrix.diagonal(diag, rows, cols)]
+        for a in (m, t):
+            for certificate in (True, False):
+                dec = snf(a, certificate)
+                built += [dec.U, dec.V, dec.S]
+        for x in built:
+            assert_shaped(x)
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32),
+           st.sampled_from([FgAbGroup.of(1, [2, 6]), FgAbGroup.of(0, [4])]))
+    def test_the_residuals_and_the_cones_hold_their_shapes(self, seed, g):
+        rng = random.Random(seed)
+        c = random_complex(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(abelian, "snf", shape_checked(snf))
+            mp.setattr(chains, "cokernel", shape_checked(cokernel))
+            for n in range(c.top_degree + 2):
+                cohomology_direct(c, n, g)
+            for _ in range(3):
+                cokernel(random_matrix(rng))
 
 
 class TestSnf:
@@ -369,7 +429,7 @@ class TestCompositeIsZero:
             rows = [list(r) for r in b.entries]
             rows[rng.randrange(b.rows)][rng.randrange(b.cols)] += rng.randint(1, 2**bits)
             b = IntMatrix.from_rows(rows)
-        assert composite_is_zero(a, b) == (a @ b).is_zero()
+        assert composite_is_zero(a, b) == is_zero(a @ b)
 
     @with_examples(signed_row_cases())
     @settings(max_examples=300, deadline=None)
@@ -380,7 +440,7 @@ class TestCompositeIsZero:
         a_rows, b_rows = rows
         a = IntMatrix.from_rows(a_rows, cols=len(b_rows))
         b = IntMatrix.from_rows(b_rows, cols=3)
-        assert composite_is_zero(a, b) == (a @ b).is_zero()
+        assert composite_is_zero(a, b) == is_zero(a @ b)
 
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((0, 0), (0, 0)), ((0, 3), (3, 2)), ((2, 0), (0, 3)), ((2, 3), (3, 0)), ((3, 2), (2, 0)),
@@ -388,7 +448,7 @@ class TestCompositeIsZero:
     def test_empty_shapes(self, a_shape, b_shape):
         a = IntMatrix.from_rows([[7] * a_shape[1]] * a_shape[0], cols=a_shape[1])
         b = IntMatrix.from_rows([[5] * b_shape[1]] * b_shape[0], cols=b_shape[1])
-        assert composite_is_zero(a, b) == (a @ b).is_zero()
+        assert composite_is_zero(a, b) == is_zero(a @ b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -410,7 +470,7 @@ class TestCompositeIsZero:
             b_zero = IntMatrix.from_rows([[big if c == j else 0 for c in range(4)]] * (k - 1)
                                          + [[-2 * big if c == j else 0 for c in range(4)]])
             a_zero = IntMatrix.from_rows([[big] * k, [0] * k])
-            assert composite_is_zero(a_zero, b_zero) == (a_zero @ b_zero).is_zero()
+            assert composite_is_zero(a_zero, b_zero) == is_zero(a_zero @ b_zero)
 
     @pytest.mark.parametrize("bits", [7, 8, 15, 63, 100])
     def test_one_entry_filling_its_digit(self, bits):
@@ -437,7 +497,7 @@ class TestLatticeUtilities:
     @given(matrices)
     def test_kernel_basis_spans_kernel(self, m):
         k = kernel_basis(m)
-        assert (m @ k).is_zero()
+        assert is_zero(m @ k)
         # column count matches the rank defect
         assert k.cols == m.cols - snf(m).rank
 
