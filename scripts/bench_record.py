@@ -1,6 +1,7 @@
 """Record a change's and its parent's benchmark numbers in a BENCH_<pr>.json file.
 
     python3 scripts/bench_record.py BENCH_28.json path/to/parent/checkout
+    python3 scripts/bench_record.py --trend throughput_per_kref
 
 Runs ``bench/run.py`` of both checkouts, the parent given and the change
 holding this script, for 30 s untraced on each workload and seed 1-5, then
@@ -12,6 +13,11 @@ each of ``parent`` and ``change`` the file holds the commit, the Python
 version, the CPU count, the seeds, the run length, each run's last-line JSON
 object and the median of each metric over the seeds.  The seeds and run
 length are fixed here, so that files compare across commits.
+
+With ``--trend METRIC`` it records nothing: it prints one line per
+``BENCH_<pr>.json`` beside ``scripts/``, in PR order, with the parent and
+change medians of METRIC on each workload.  A metric that no file holds
+exits 2.
 """
 
 from __future__ import annotations
@@ -65,7 +71,29 @@ def git(checkout: Path, *args: str) -> str:
                           check=True).stdout
 
 
+def trend(metric: str, root: Path) -> int:
+    """Print the parent and change medians of `metric` per BENCH file under root."""
+    files = sorted(root.glob("BENCH_*.json"), key=lambda p: int(p.stem.removeprefix("BENCH_")))
+    records = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in files}
+    known = {name for data in records.values() for side in data.values()
+             for runs in side["untraced"].values() for name in runs["median"]}
+    if metric not in known:
+        print(f"unknown metric {metric!r}; the BENCH files hold {', '.join(sorted(known))}",
+              file=sys.stderr)
+        return 2
+    for stem, data in records.items():
+        cells = []
+        for w in WORKLOADS:
+            values = [data[side]["untraced"].get(w, {}).get("median", {}).get(metric)
+                      for side in ("parent", "change")]
+            cells.append(f"{w} " + " -> ".join("-" if v is None else f"{v:.4g}" for v in values))
+        print(stem, *cells, sep="  ")
+    return 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--trend":
+        return trend(argv[1], Path(__file__).resolve().parent.parent)
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2

@@ -182,13 +182,15 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
                         break
                 else:
                     return 0
-            p = a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k] == 0 and p == prev:
+            ak = a[k]
+            p = ak[k]
+            for ai in a[k + 1:]:
+                f = ai[k]
+                if f == 0 and p == prev:
                     continue  # each update would be x * p // prev = x
                 for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
+                    ai[j] = (ai[j] * p - f * ak[j]) // prev
+                ai[k] = 0
             prev = p
         return sign * a[n - 1][n - 1]
 

@@ -12,11 +12,13 @@ import functools
 import random
 from collections import namedtuple
 from collections.abc import Callable
+from operator import lshift, mul
 
 from .abelian import (
     FgAbGroup,
     IntMatrix,
     PrimeSet,
+    SmithDecomposition,
     cokernel,
     exponent,
     kernel_basis,
@@ -70,9 +72,8 @@ def uniform_int(rng: random.Random, lo: int, hi: int) -> int:
 
 def random_matrix(rng: random.Random, max_dim: int = 8, bound: int = 10) -> IntMatrix:
     rows, cols = uniform_int(rng, 0, max_dim), uniform_int(rng, 0, max_dim)
-    return IntMatrix.from_rows(
-        [[uniform_int(rng, -bound, bound) for _ in range(cols)] for _ in range(rows)],
-        cols=cols)
+    return tuple.__new__(IntMatrix, (rows, cols, tuple(  # its shape holds by construction
+        [tuple([uniform_int(rng, -bound, bound) for _ in range(cols)]) for _ in range(rows)])))
 
 
 def random_group(rng: random.Random, max_rank: int = 2, max_factors: int = 3,
@@ -103,9 +104,9 @@ def random_complex(rng: random.Random, max_top: int = 5, max_rank: int = 5,
             if cols == 0:
                 kernel = IntMatrix.identity(0)
                 continue
-            mixing = IntMatrix.from_rows([[uniform_int(rng, -2, 2) if rng.random() < 0.5 else 0
-                                           for _ in range(cols)] for _ in range(kernel.cols)],
-                                         cols=cols)
+            mixing = tuple.__new__(IntMatrix, (kernel.cols, cols, tuple(
+                [tuple([uniform_int(rng, -2, 2) if rng.random() < 0.5 else 0 for _ in range(cols)])
+                 for _ in range(kernel.cols)])))
             bnd = kernel @ mixing
             if bnd.max_abs() > entry_bound:
                 overflow = True
@@ -223,17 +224,24 @@ def check_uct_vs_direct() -> tuple[bool, str]:
     return True, f"{complexes} random complexes, {cases} degree/group pairs"
 
 
+def _smith_product_ok(m: IntMatrix, dec: SmithDecomposition) -> bool:
+    """U @ m @ V == S by Kronecker substitution: a row of V packs one base-2^w digit per
+    column, and row i must be diag[i] << w*i; no digit of the difference reaches 2^(w-1)."""
+    w = (m.rows * m.cols * dec.U.max_abs() * m.max_abs() * dec.V.max_abs()
+         + max(map(abs, dec.diagonal), default=0)).bit_length() + 1  # bounds each digit: exact
+    packed = [sum(map(lshift, row, range(0, w * m.cols, w))) for row in dec.V.entries]
+    mv = [sum(map(mul, row, packed)) for row in m.entries]
+    return [sum(map(mul, row, mv)) for row in dec.U.entries] == [
+        d << w * i for i, d in enumerate(dec.diagonal)] + [0] * (m.rows - m.cols)
+
+
 def _snf_certificate_ok(m: IntMatrix) -> bool:
     dec = snf(m)
-    diag = dec.diagonal
-    for i, row in enumerate((dec.U @ m @ dec.V).entries):  # S: the diagonal, zeros elsewhere
-        if any(row[:i]) or any(row[i + 1:]) or (i < len(diag) and row[i] != diag[i]):
-            return False
-    if abs(dec.U.det()) != 1 or abs(dec.V.det()) != 1:
+    if not _smith_product_ok(m, dec) or abs(dec.U.det()) != 1 or abs(dec.V.det()) != 1:
         return False
     seen_zero = False
     prev = None
-    for d in diag:
+    for d in dec.diagonal:
         if d < 0:
             return False
         if d == 0:
@@ -256,8 +264,8 @@ def check_snf_certificates() -> tuple[bool, str]:
     square = 0
     while square < 100:
         n = uniform_int(rng, 1, 6)
-        m = IntMatrix.from_rows(
-            [[uniform_int(rng, -10, 10) for _ in range(n)] for _ in range(n)])
+        m = tuple.__new__(IntMatrix, (n, n, tuple(
+            [tuple([uniform_int(rng, -10, 10) for _ in range(n)]) for _ in range(n)])))
         d = m.det()
         if d == 0:
             continue

@@ -663,6 +663,17 @@ def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
         V=IntMatrix(v.rows, cols, tuple(zip(*vcols))))
 
 
+def reference_certificate_ok(m: IntMatrix, dec: SmithDecomposition) -> bool:
+    """Whether U @ m @ V == S for a certificate dec of m, read off the two dense
+    products: row i holds the diagonal entry i, if there is one, and zeros
+    elsewhere.  The corpus's certificate check did this before it packed rows."""
+    diag = dec.diagonal
+    for i, row in enumerate((dec.U @ m @ dec.V).entries):
+        if any(row[:i]) or any(row[i + 1:]) or (i < len(diag) and row[i] != diag[i]):
+            return False
+    return True
+
+
 def smash(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     """The reduced chains of the smash product, C~(x) (x) C~(y).
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ahom import abelian, chains
+from ahom import abelian, chains, corpus
 from ahom.abelian import (
     MAX_SUMMANDS,
     PRIME_LIMIT,
@@ -152,18 +152,21 @@ def assert_shaped(m: IntMatrix) -> None:
 
 
 def shape_checked(fn):
-    """fn, asserting first that the matrix it is given holds its shape."""
-    def checked(m, *args):
-        assert_shaped(m)
-        return fn(m, *args)
+    """fn, asserting first that each matrix it is given holds its shape."""
+    def checked(*args):
+        for m in args:
+            if isinstance(m, IntMatrix):
+                assert_shaped(m)
+        return fn(*args)
     return checked
 
 
 class TestLibraryShapedMatrices:
     """transpose, diagonal, identity, @, kernel_basis and the Smith transforms
     are built without IntMatrix.__new__'s check, as are the residual that
-    residual_cokernel hands to snf and the matrices cohomology_direct hands
-    to cokernel; each must hold the shape it states."""
+    residual_cokernel hands to snf, the matrices cohomology_direct hands
+    to cokernel and the corpus's random matrices, mixing matrices and
+    squares; each must hold the shape it states."""
 
     @settings(max_examples=300, deadline=None)
     @given(matrices, st.lists(st.integers(-10, 10), max_size=6), st.integers(0, 6),
@@ -189,14 +192,30 @@ class TestLibraryShapedMatrices:
            st.sampled_from([FgAbGroup.of(1, [2, 6]), FgAbGroup.of(0, [4])]))
     def test_the_residuals_and_the_cones_hold_their_shapes(self, seed, g):
         rng = random.Random(seed)
-        c = random_complex(rng)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(abelian, "snf", shape_checked(snf))
             mp.setattr(chains, "cokernel", shape_checked(cokernel))
+            # random_complex multiplies each of its mixing matrices into a kernel
+            mp.setattr(IntMatrix, "__matmul__", shape_checked(IntMatrix.__matmul__))
+            c = random_complex(rng)
             for n in range(c.top_degree + 2):
                 cohomology_direct(c, n, g)
             for _ in range(3):
                 cokernel(random_matrix(rng))
+
+    @pytest.mark.parametrize("max_dim", [0, 1, 3, 8])
+    def test_the_corpus_random_matrices_hold_their_shapes(self, max_dim):
+        rng = random.Random(max_dim)
+        draws = [random_matrix(rng, max_dim) for _ in range(300)]
+        for m in draws:
+            assert_shaped(m)
+        assert any(m.rows == 0 < m.cols for m in draws) == (max_dim > 0)
+        assert any(m.cols == 0 < m.rows for m in draws) == (max_dim > 0)
+
+    def test_the_certificate_check_squares_hold_their_shapes(self):
+        with pytest.MonkeyPatch.context() as mp:  # the check takes det of each square first
+            mp.setattr(IntMatrix, "det", shape_checked(IntMatrix.det))
+            assert corpus.check_snf_certificates().passed
 
 
 class TestSnf:
