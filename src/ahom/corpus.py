@@ -225,8 +225,8 @@ def check_uct_vs_direct() -> tuple[bool, str]:
 
 
 def _smith_product_ok(m: IntMatrix, dec: SmithDecomposition) -> bool:
-    """U @ m @ V == S by Kronecker substitution: a row of V packs one base-2^w digit per
-    column, and row i must be diag[i] << w*i; no digit of the difference reaches 2^(w-1)."""
+    """U @ m @ V == S by Kronecker substitution: each row of V packs one base-2^w digit per
+    column; row i must be diag[i] << w*i, 0 past it; no difference digit reaches 2^(w-1)."""
     w = (m.rows * m.cols * dec.U.max_abs() * m.max_abs() * dec.V.max_abs()
          + max(map(abs, dec.diagonal), default=0)).bit_length() + 1  # bounds each digit: exact
     packed = [sum(map(lshift, row, range(0, w * m.cols, w))) for row in dec.V.entries]

@@ -130,19 +130,29 @@ def test_the_packed_product_check_is_the_dense_one(m, mutation, data):
             assert not corpus._snf_certificate_ok(m)
 
 
+# Each product row below is 0 in the digits of the width a bound without one
+# of its terms would give, (8, -1) at 3 bits for instance, and would then
+# read as the diagonal: a digit of U @ m @ V sums rows * cols terms, each as
+# large as max|U| * max|m| * max|V|, and the diagonal's digit adds up to |d|.
 @pytest.mark.parametrize("m_rows, u_rows, diagonal, v_rows", [
-    # the product row (8, -1, 0, ...) is 8 - 2^3 = 0 in 3-bit digits: each entry
-    # of U @ m @ V sums rows * cols terms, and 3 bits cover only one of them
-    ([[1] * 6], [[1]], (0,), [[2, -1, 0, 0, 0, 0]] + [[2, 0, 0, 0, 0, 0]] * 3
-     + [[0] * 6] * 2),
-    # row 1 of the product, (0, 0, -1), is -2^8 in 4-bit digits, and so is
-    # -16 << 4: the digit width must cover |d|, not the largest signed d
+    ([[1] * 6], [[1]], (0,), [[2, -1, 0, 0, 0, 0]] + [[2, 0, 0, 0, 0, 0]] * 3 + [[0] * 6] * 2),
+    ([[1, 0], [0, -1]], [[16, 1], [0, 1]], (0, -1), [[1, 0], [0, 1]]),
+    ([[8, -1]], [[1]], (0,), [[1, 0], [0, 1]]),
+    ([[1, 1]], [[1]], (0,), [[8, 0], [0, -1]]),
     ([[1, 0, 0], [0, 0, -1]], [[1, 0], [0, 1]], (1, -16), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-], ids=["rows-times-cols", "negative-diagonal"])
+], ids=["rows-times-cols", "max-U", "max-m", "max-V", "negative-diagonal"])
 def test_the_packed_product_check_has_room_for_every_digit(m_rows, u_rows, diagonal, v_rows):
-    """Products whose digits would carry into the next one at a narrower
-    width, which would then read as the diagonal."""
     m = IntMatrix.from_rows(m_rows)
     dec = SmithDecomposition(IntMatrix.from_rows(u_rows), diagonal, IntMatrix.from_rows(v_rows))
     assert not reference_certificate_ok(m, dec)
     assert not corpus._smith_product_ok(m, dec)
+
+
+def test_the_packed_product_check_rejects_a_carry_at_every_width():
+    """(2^k, -1) is 0 in k-bit digits, so a digit width fixed at any k up to 80
+    would read this product as the zero diagonal."""
+    dec = SmithDecomposition(IntMatrix.identity(1), (0,), IntMatrix.identity(2))
+    for k in range(81):
+        m = IntMatrix.from_rows([[2**k, -1]])
+        assert not reference_certificate_ok(m, dec)
+        assert not corpus._smith_product_ok(m, dec)
