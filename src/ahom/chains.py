@@ -20,17 +20,21 @@ generated group is available through two independent routes that must agree:
 keeps each H^n(c; g) on the complex by (n, g), so a page, shaped homology and
 the axiom checks share one assembly per group without knowing of it, while
 :func:`cohomology_direct` reduces the actual cochain complex and never
-looks at the integral answer.  It takes the coefficients one cyclic summand
+looks at the integral answer.  It too splits the divisor pivots off all
+coboundaries once per complex, and keeps what is left: a summand Z -p-> Z
+from C^k to C^(k+1) adds Z/|p| to H^(k+1)(c; Z) and Z/gcd(p, d) to both
+H^k and H^(k+1)(c; Z/d).  The rest takes the coefficients one cyclic summand
 at a time, with one cokernel each.  For Z/d it uses the mapping cone of
 multiplication by d on the integral cochains, which is quasi-isomorphic to
 the mod-d cochains: H^n(c; Z/d) is finite, so it is the whole torsion of one
-cokernel, mostly split off as divisor pivots.  Row signs do not change that
-cokernel and zero rows or columns only its free part, so absent boundaries build nothing.
+cokernel.  Row signs do not change that cokernel and zero rows or columns
+only its free part, so absent boundaries build nothing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
@@ -150,6 +154,18 @@ class ChainComplex(namedtuple("ChainComplex", "name ranks boundaries")):
         return {n: h for n, h in groups if not h.is_trivial()}
 
     @cached_property
+    def _cochains(self) -> tuple[dict[int, int], dict[int, tuple], dict[int, list[int]]]:
+        """The cochain complex after one split: the cells of each C^k left,
+        and the rows left of each coboundary delta_k = d_(k+1)^T and the |p|
+        split off it, both keyed at -k, so that the keys go up as
+        :func:`~ahom.abelian.split_pivots` expects; kept like _cohomology."""
+        dual = {1 - n: [list(col) for col in zip(*m.entries)] for n, m in self.boundaries.items()}
+        split = split_pivots(dual)
+        ranks = {k: r - len(split.get(-k, ())) - len(split.get(1 - k, ()))
+                 for k, r in self.ranks.items()}
+        return ranks, {k: tuple(map(tuple, rows)) for k, rows in dual.items()}, split
+
+    @cached_property
     def _cohomology(self) -> dict[tuple[int, FgAbGroup], FgAbGroup]:
         """H^n(c; g) by (n, g), as :func:`cohomology_uct` is asked for it;
         ignored, like graded_homology, by equality, repr and the file form."""
@@ -187,14 +203,16 @@ def cohomology_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
 def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     """H^n(c; g) computed from the honest cochain complex of g-valued cochains.
 
-    Hom(C_k, -) is additive, so the complex splits over the cyclic summands
-    of g; each costs one transform-free :func:`cokernel`.  With
-    alpha = d_n^T and beta = d_(n+1)^T the coboundaries into and out of
-    the n-cochains C^n:
+    The complex is reduced once (``c._cochains``): every divisor pivot p of a
+    coboundary, from C^k to C^(k+1), splits off a summand Z -p-> Z, which
+    adds Z/|p| to H^(k+1)(c; Z) and Z/gcd(p, d) to both H^k and
+    H^(k+1)(c; Z/d).  Hom(C_k, -) is additive, so what is left splits over
+    the cyclic summands of g; each costs one transform-free :func:`cokernel`.
+    With alpha and beta the coboundaries left into and out of the n-cochains:
 
     * Z: im(beta) is free, so ker(beta) is a direct summand of C^n and
       coker(alpha) is H^n(c; Z) plus rank(beta) free summands.  One Smith
-      reduction of alpha and one Hermite pass over the columns of d_(n+1),
+      reduction of alpha and one Hermite pass over the rows of beta,
       whose pivots count rank(beta), serve every Z summand of g.
     * Z/d: the mod-d cochains are the quotient of C^* by the injective
       map d, so they are quasi-isomorphic to its mapping cone, whose
@@ -213,19 +231,19 @@ def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     >>> print(cohomology_direct(rp2, 1, FgAbGroup.of(1, [2])))
     Z/2
     """
-    r = c.rank(n)
-    if r == 0 or g.is_trivial():
+    if c.rank(n) == 0 or g.is_trivial():
         return FgAbGroup.trivial()
-    lower, upper = c.boundaries.get(n), c.boundaries.get(n + 1)
-    alpha = lower.transpose().entries if lower is not None else ((),) * r
-    beta = upper.transpose().entries if upper is not None else ()
-    zero = (0,) * len(alpha[0])
-    rank, orders = 0, []
-    if g.free_rank:
+    ranks, delta, split = c._cochains
+    r, into, out = ranks.get(n, 0), split.get(1 - n, []), split.get(-n, [])
+    alpha, beta = delta.get(1 - n, ((),) * r), delta.get(-n, ())
+    zero = (0,) * len(alpha[0]) if r else ()
+    rank, orders = 0, into * g.free_rank
+    orders += [math.gcd(p, d) for d in g.invariant_factors for p in chain(into, out)]
+    if r and g.free_rank:
         coker = cokernel(tuple.__new__(IntMatrix, (r, len(zero), alpha)))
         rank = (coker.free_rank - len(column_echelon(list(beta)))) * g.free_rank
-        orders = list(coker.invariant_factors) * g.free_rank
-    for d in g.invariant_factors:
+        orders += list(coker.invariant_factors) * g.free_rank
+    for d in g.invariant_factors if r else ():
         cone = tuple(row + zero for row in beta) + tuple(
             (0,) * i + (d,) + (0,) * (r - i - 1) + a for i, a in enumerate(alpha))
         cone = tuple.__new__(IntMatrix, (len(cone), r + len(zero), cone))

@@ -4,8 +4,8 @@ The oracles here enumerate group elements or cochains, factor orders or
 invert over the rationals, and never touch the Smith-form machinery they are
 used to check.  The exceptions are the per-entry reference Hermite pass
 and the Smith form built on it, the matrix adapter of the library's Hermite
-pass, the unmemoized Hom/Ext cohomology, the degree-window sum for shaped
-homology, the unreduced graded homology,
+pass, the unmemoized Hom/Ext cohomology, the per-summand cochain route,
+the degree-window sum for shaped homology, the unreduced graded homology,
 the Hom complex whose homology is shaped homology, the smash product
 with its Kunneth formula, the full draw loop of random complexes, the
 randint forms of the other seeded generators and the eager second page
@@ -185,6 +185,36 @@ def unmemoized_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     """H^n(c; g) as Hom(H_n, g) + Ext(H_(n-1), g), assembled afresh on every
     call; cohomology_uct keeps the same value on c."""
     return direct_sum([hom(homology(c, n), g), ext(homology(c, n - 1), g)])
+
+
+def reference_cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
+    """H^n(c; g) from the cochain complex reduced afresh for each degree and
+    each cyclic summand of g, with no divisor pivot split off the complex as
+    a whole: the cochain route as it was before the complex kept one split.
+
+    With alpha = d_n^T and beta = d_(n+1)^T, the Z summands take one
+    cokernel of alpha and one Hermite pass for rank(beta), and each Z/d
+    takes the torsion of the cokernel of the mapping cone
+    [[-beta, 0], [d*I, alpha]] of multiplication by d.
+    """
+    r = c.rank(n)
+    if r == 0 or g.is_trivial():
+        return FgAbGroup.trivial()
+    lower, upper = c.boundaries.get(n), c.boundaries.get(n + 1)
+    alpha = lower.transpose().entries if lower is not None else ((),) * r
+    beta = upper.transpose().entries if upper is not None else ()
+    zero = (0,) * len(alpha[0])
+    rank, orders = 0, []
+    if g.free_rank:
+        coker = cokernel(tuple.__new__(IntMatrix, (r, len(zero), alpha)))
+        rank = (coker.free_rank - len(column_echelon(list(beta)))) * g.free_rank
+        orders = list(coker.invariant_factors) * g.free_rank
+    for d in g.invariant_factors:
+        cone = tuple(row + zero for row in beta) + tuple(
+            (0,) * i + (d,) + (0,) * (r - i - 1) + a for i, a in enumerate(alpha))
+        cone = tuple.__new__(IntMatrix, (len(cone), r + len(zero), cone))
+        orders += cokernel(cone).invariant_factors
+    return FgAbGroup.of(rank, orders)
 
 
 def window_a_homology(a: ChainComplex, x: ChainComplex, n: int) -> FgAbGroup:

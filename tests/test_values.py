@@ -13,7 +13,7 @@ import pytest
 import ahom
 from ahom.abelian import FgAbGroup, IntMatrix, PrimeSet, SmithDecomposition, snf
 from ahom.ahomology import MooreSes, axiom_checks, a_homology_range, moore_a_homology_ses
-from ahom.chains import ChainComplex, cohomology_uct
+from ahom.chains import ChainComplex, cohomology_direct, cohomology_uct
 from ahom.corpus import CheckResult
 from ahom.federer import (ABSOLUTE, BigradedPage, HomotopyTable, collapse_report,
                           e2_consistency_with_ahomology, federer_e2, hopf_whitney,
@@ -71,7 +71,8 @@ def _read_derived(value) -> list[str]:
     if isinstance(value, ChainComplex):
         value.graded_homology
         cohomology_uct(value, 2, Z2)
-        return ["graded_homology", "_cohomology"]
+        cohomology_direct(value, 2, Z2)
+        return ["graded_homology", "_cohomology", "_cochains"]
     if isinstance(value, SmithDecomposition):
         assert value.S == IntMatrix.diagonal(value.diagonal, 2, 2)
     if isinstance(value, MooreSes):  # the homotopy sample has no middle term
