@@ -190,7 +190,7 @@ def unmemoized_uct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
 def reference_cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     """H^n(c; g) from the cochain complex reduced afresh for each degree and
     each cyclic summand of g, with no divisor pivot split off the complex as
-    a whole: the cochain route as it was before the complex kept one split.
+    a whole: the per-summand reference for chains.cohomology_direct.
 
     With alpha = d_n^T and beta = d_(n+1)^T, the Z summands take one
     cokernel of alpha and one Hermite pass for rank(beta), and each Z/d
