@@ -23,12 +23,12 @@ the axiom checks share one assembly per group without knowing of it, while
 looks at the integral answer.  It too splits the divisor pivots off all
 coboundaries once per complex, and keeps what is left: a summand Z -p-> Z
 from C^k to C^(k+1) adds Z/|p| to H^(k+1)(c; Z) and Z/gcd(p, d) to both
-H^k and H^(k+1)(c; Z/d).  The rest takes the coefficients one cyclic summand
-at a time, with one cokernel each.  For Z/d it uses the mapping cone of
-multiplication by d on the integral cochains, which is quasi-isomorphic to
-the mod-d cochains: H^n(c; Z/d) is finite, so it is the whole torsion of one
-cokernel.  Row signs do not change that cokernel and zero rows or columns
-only its free part, so absent boundaries build nothing.
+H^k and H^(k+1)(c; Z/d).  A cell left that no coboundary touches is a
+summand Z -> 0 and adds one g with no matrix; the touched cells take the
+coefficients one cyclic summand at a time, one cokernel each.  For Z/d it
+uses the mapping cone of multiplication by d on the integral cochains,
+which is quasi-isomorphic to the mod-d cochains: H^n(c; Z/d) is finite, so
+it is the whole torsion of one cokernel.
 """
 
 from __future__ import annotations
@@ -155,15 +155,18 @@ class ChainComplex(namedtuple("ChainComplex", "name ranks boundaries")):
 
     @cached_property
     def _cochains(self) -> tuple[dict[int, int], dict[int, tuple], dict[int, list[int]]]:
-        """The cochain complex after one split: the cells of each C^k left,
-        and the rows left of each coboundary delta_k = d_(k+1)^T and the |p|
-        split off it, both keyed at -k, so that the keys go up as
-        :func:`~ahom.abelian.split_pivots` expects; kept like _cohomology."""
+        """The cochain complex after one split, kept like _cohomology: the cells
+        of each C^k left, and of each coboundary delta_k = d_(k+1)^T the rows
+        left, the indices of its nonzero rows and columns and the |p| split off
+        it, keyed at -k so the keys go up as :func:`~ahom.abelian.split_pivots` expects."""
         dual = {1 - n: [list(col) for col in zip(*m.entries)] for n, m in self.boundaries.items()}
         split = split_pivots(dual)
         ranks = {k: r - len(split.get(-k, ())) - len(split.get(1 - k, ()))
                  for k, r in self.ranks.items()}
-        return ranks, {k: tuple(map(tuple, rows)) for k, rows in dual.items()}, split
+        delta = {k: (tuple(map(tuple, rows)), [i for i, row in enumerate(rows) if any(row)],
+                     [j for j, col in enumerate(zip(*rows)) if any(col)])
+                 for k, rows in dual.items()}
+        return ranks, delta, split
 
     @cached_property
     def _cohomology(self) -> dict[tuple[int, FgAbGroup], FgAbGroup]:
@@ -206,22 +209,25 @@ def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
     The complex is reduced once (``c._cochains``): every divisor pivot p of a
     coboundary, from C^k to C^(k+1), splits off a summand Z -p-> Z, which
     adds Z/|p| to H^(k+1)(c; Z) and Z/gcd(p, d) to both H^k and
-    H^(k+1)(c; Z/d).  Hom(C_k, -) is additive, so what is left splits over
-    the cyclic summands of g; each costs one transform-free :func:`cokernel`.
-    With alpha and beta the coboundaries left into and out of the n-cochains:
+    H^(k+1)(c; Z/d).  A cell of C^n left with a zero row in the coboundary
+    into it and a zero column in the one out is untouched, a summand Z -> 0
+    that adds one g and no matrix.  Hom(C_k, -) is additive, so the touched
+    cells split over the cyclic summands of g, each at most one transform-free
+    :func:`cokernel`.  With alpha and beta the coboundaries left into and out
+    of them, less the zero columns of alpha and the zero rows of beta:
 
     * Z: im(beta) is free, so ker(beta) is a direct summand of C^n and
-      coker(alpha) is H^n(c; Z) plus rank(beta) free summands.  One Smith
-      reduction of alpha and one Hermite pass over the rows of beta,
-      whose pivots count rank(beta), serve every Z summand of g.
+      coker(alpha) is H^n(c; Z) plus rank(beta) free summands: one Smith
+      reduction of alpha, if it has columns, and one Hermite pass over the
+      rows of beta, whose pivots count its rank, serve every Z in g.
     * Z/d: the mod-d cochains are the quotient of C^* by the injective
       map d, so they are quasi-isomorphic to its mapping cone, whose
       n-cochains C^(n+1) + C^n are hit by [[-beta, 0], [d*I, alpha]].  The
       cokernel of that matrix is H^n(c; Z/d) plus a free group (the image
       of the next cone differential), and H^n(c; Z/d), being killed by d,
       is finite: it is exactly the torsion of the cokernel.  A row sign
-      does not change a cokernel, a zero column does not either, and a zero
-      row only adds a free summand, so an absent boundary adds no block.
+      or a zero column does not change a cokernel, and a zero row only
+      adds a free summand, so the dropped rows and columns change nothing.
 
     The Hom/Ext shortcut is never used.
 
@@ -235,18 +241,21 @@ def cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGroup:
         return FgAbGroup.trivial()
     ranks, delta, split = c._cochains
     r, into, out = ranks.get(n, 0), split.get(1 - n, []), split.get(-n, [])
-    alpha, beta = delta.get(1 - n, ((),) * r), delta.get(-n, ())
-    zero = (0,) * len(alpha[0]) if r else ()
-    rank, orders = 0, into * g.free_rank
+    (a, a_rows, a_cols), (b, b_rows, b_cols) = delta.get(1 - n, ((),) * 3), delta.get(-n, ((),) * 3)
+    touched = sorted({*a_rows, *b_cols})
+    alpha = tuple(tuple(a[i][j] for j in a_cols) for i in touched)
+    beta = tuple(tuple(b[i][j] for j in touched) for i in b_rows)
+    t, zero = len(touched), (0,) * len(a_cols)
+    rank, orders = (r - t) * g.free_rank, into * g.free_rank + list(g.invariant_factors) * (r - t)
     orders += [math.gcd(p, d) for d in g.invariant_factors for p in chain(into, out)]
-    if r and g.free_rank:
-        coker = cokernel(tuple.__new__(IntMatrix, (r, len(zero), alpha)))
-        rank = (coker.free_rank - len(column_echelon(list(beta)))) * g.free_rank
+    if t and g.free_rank:
+        coker = cokernel(tuple.__new__(IntMatrix, (t, len(zero), alpha))) if zero else FgAbGroup.free(t)
+        rank += (coker.free_rank - len(column_echelon(list(beta)))) * g.free_rank
         orders += list(coker.invariant_factors) * g.free_rank
-    for d in g.invariant_factors if r else ():
+    for d in g.invariant_factors if t else ():
         cone = tuple(row + zero for row in beta) + tuple(
-            (0,) * i + (d,) + (0,) * (r - i - 1) + a for i, a in enumerate(alpha))
-        cone = tuple.__new__(IntMatrix, (len(cone), r + len(zero), cone))
+            (0,) * i + (d,) + (0,) * (t - i - 1) + x for i, x in enumerate(alpha))
+        cone = tuple.__new__(IntMatrix, (len(cone), t + len(zero), cone))
         orders += cokernel(cone).invariant_factors
     return FgAbGroup.of(rank, orders)
 

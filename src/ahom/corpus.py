@@ -97,22 +97,23 @@ def random_complex(rng: random.Random, max_top: int = 5, max_rank: int = 5,
         if rng.random() < 0.7 and ranks:
             ranks[0] = 0  # usually based and path-connected
         boundaries: dict[int, IntMatrix] = {}
-        kernel = IntMatrix.identity(ranks[0] if ranks else 0)
+        kernel = None  # ker(d_(n-1)) by columns; None while that is all of C_(n-1)
         overflow = False
         for n in range(1, top + 1):
             cols = ranks[n]
             if cols == 0:
-                kernel = IntMatrix.identity(0)
+                kernel = None
                 continue
-            mixing = tuple.__new__(IntMatrix, (kernel.cols, cols, tuple(
+            width = ranks[n - 1] if kernel is None else kernel.cols
+            mixing = tuple.__new__(IntMatrix, (width, cols, tuple(
                 [tuple([uniform_int(rng, -2, 2) if rng.random() < 0.5 else 0 for _ in range(cols)])
-                 for _ in range(kernel.cols)])))
-            bnd = kernel @ mixing
+                 for _ in range(width)])))
+            bnd = mixing if kernel is None else kernel @ mixing
             if bnd.max_abs() > entry_bound:
                 overflow = True
                 break
             boundaries[n] = bnd  # ChainComplex drops it when zero
-            kernel = kernel_basis(bnd) if n < top else None  # the top one bounds no draw
+            kernel = kernel_basis(bnd) if n < top else kernel  # the top one bounds no draw
         if overflow:
             continue
         return ChainComplex(name, {n: r for n, r in enumerate(ranks)}, boundaries)

@@ -161,6 +161,14 @@ def shape_checked(fn):
     return checked
 
 
+def shaped_complex(name, ranks, boundaries):
+    """ChainComplex, asserting first that each boundary, zero ones too,
+    holds its shape: the constructor checks only the shape it states."""
+    for m in boundaries.values():
+        assert_shaped(m)
+    return chains.ChainComplex(name, ranks, boundaries)
+
+
 class TestLibraryShapedMatrices:
     """transpose, diagonal, identity, @, kernel_basis and the Smith transforms
     are built without IntMatrix.__new__'s check, as are the residual that
@@ -195,8 +203,10 @@ class TestLibraryShapedMatrices:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(abelian, "snf", shape_checked(snf))
             mp.setattr(chains, "cokernel", shape_checked(cokernel))
-            # random_complex multiplies each of its mixing matrices into a kernel
+            # random_complex multiplies its mixing matrices into a kernel, but
+            # takes one as the boundary itself where the kernel is all cells
             mp.setattr(IntMatrix, "__matmul__", shape_checked(IntMatrix.__matmul__))
+            mp.setattr(corpus, "ChainComplex", shaped_complex)
             c = random_complex(rng)
             for n in range(c.top_degree + 2):
                 cohomology_direct(c, n, g)
@@ -211,6 +221,19 @@ class TestLibraryShapedMatrices:
             assert_shaped(m)
         assert any(m.rows == 0 < m.cols for m in draws) == (max_dim > 0)
         assert any(m.cols == 0 < m.rows for m in draws) == (max_dim > 0)
+
+    @pytest.mark.parametrize("max_rank", [1, 3, 5])
+    def test_the_random_complex_boundaries_hold_their_shapes(self, max_rank):
+        # d_1, and a boundary after a degree without cells, is a mixing matrix
+        # that passes through no product; the draws hold both kinds
+        rng, first, after_none = random.Random(max_rank), 0, 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "ChainComplex", shaped_complex)
+            for _ in range(200):
+                ranks = random_complex(rng, max_rank=max_rank).ranks
+                first += bool(ranks.get(0) and ranks.get(1))
+                after_none += any(ranks.get(n) and not ranks.get(n - 1) for n in range(2, 6))
+        assert first and after_none
 
     def test_the_certificate_check_squares_hold_their_shapes(self):
         with pytest.MonkeyPatch.context() as mp:  # the check takes det of each square first
