@@ -1,10 +1,11 @@
 """Exact arithmetic on integer matrices and finitely generated abelian groups.
 
 Everything here works with unbounded Python integers; there is no floating
-point and no modular shortcut anywhere.  The one packed computation,
-:func:`composite_is_zero`, takes its digit width from the entry bounds, so it
-is exact, not modular: each digit is an entry in two's complement, 64 bits
-per 8-byte `array` item, and one borrow per row makes the packing exact.
+point and no modular shortcut anywhere.  The packed d*d = 0 test,
+:func:`composite_is_zero`, is exact, not modular: its digits, each an entry's
+two's complement as an 8-byte `array` item in native order or a wider
+`int.to_bytes`, take their width from the entry bounds, and one borrow per row
+makes the packing exact.  ``corpus`` packs its Smith certificates by shifts.
 The two central objects are
 
 * :class:`IntMatrix` -- an immutable integer matrix, the substrate for all
@@ -41,7 +42,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import chain, compress, count, repeat
-from operator import and_, itemgetter, mod, mul, rshift
+from operator import itemgetter, mod, mul
 
 
 class GroupParseError(ValueError):
@@ -131,10 +132,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return cls(len(data), width, data)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.diagonal((1,) * n)
-
-    @classmethod
     def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         r = len(diag) if rows is None else rows
         c = len(diag) if cols is None else cols
@@ -158,10 +155,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         out = tuple([tuple([sum(map(mul, row, col)) for col in cols_t]) if cols_t else zero
                      for row in self.entries])
         return tuple.__new__(IntMatrix, (self.rows, other.cols, out))  # its shape holds by construction
-
-    def transpose(self) -> "IntMatrix":
-        return tuple.__new__(IntMatrix, (self.cols, self.rows, tuple(zip(*self.entries))
-                                         if self.rows else ((),) * self.cols))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -203,11 +196,11 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> b
     matching row of a @ b, packed the same way.  Every entry of a @ b is at
     most a.cols * max|a| * max|b| < 2^(w-1) in absolute value, so a packed
     row is zero exactly when each of its digits is: the test is exact.
-    A digit is the entry in w-bit two's complement, w a multiple of 64: one
-    signed 8-byte `array` item, or as many unsigned 8-byte limbs, low limb
-    first, as a wider one needs.  The row's bytes read as one unsigned
-    integer, less 2^w at the digit above each negative digit, are its exact
-    packing.  `bound`, when given, is max|a| * max|b|.
+    A digit is the entry in w-bit two's complement, w a multiple of 64: a
+    signed 8-byte `array` item in native byte order, whose digits a big-endian
+    host reverses without harm, or a wider little-endian `int.to_bytes`.  The
+    row's bytes, read as one unsigned integer, less 2^w at the digit above
+    each negative digit, are its exact packing.  `bound`, if given, is max|a| * max|b|.
     """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
@@ -217,18 +210,12 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> b
     limbs = bound.bit_length() // 64 + 1
     w = 64 * limbs  # so 2^(w-1) > bound
     ones = int.from_bytes((b"\1" + bytes(8 * limbs - 1)) * b.cols, "little")  # 1 in each digit
-    digits = array("Q", bytes(8 * limbs * b.cols))
     packed = []
     for row in b.entries:
         if limbs == 1:
-            digits = array("q", row)
+            u = int.from_bytes(array("q", row), sys.byteorder)
         else:
-            for limb in range(limbs):  # low limb first; the top one carries the sign
-                digits[limb::limbs] = array("Q", map(and_, map(rshift, row, repeat(64 * limb)),
-                                                     repeat((1 << 64) - 1)))
-        if sys.byteorder == "big":  # items are native-endian
-            digits.byteswap()
-        u = int.from_bytes(digits, "little")
+            u = int.from_bytes(b"".join(x.to_bytes(w // 8, "little", signed=True) for x in row), "little")
         packed.append(u - ((u >> (w - 1) & ones) << w))  # the borrow of each negative digit
     return not any(sum(map(mul, compress(row, row), compress(packed, row))) for row in a.entries)
 

@@ -36,6 +36,16 @@ def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, ((0,) * cols,) * rows)
 
 
+def identity(n: int) -> IntMatrix:
+    """The n x n identity matrix."""
+    return IntMatrix.diagonal((1,) * n)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    """The transpose of m; a 0-row matrix transposes to 0-length rows."""
+    return IntMatrix(m.cols, m.rows, tuple(zip(*m.entries)) if m.rows else ((),) * m.cols)
+
+
 def is_zero(m: IntMatrix) -> bool:
     """Whether every entry of m is zero."""
     return not any(map(any, m.entries))
@@ -201,8 +211,8 @@ def reference_cohomology_direct(c: ChainComplex, n: int, g: FgAbGroup) -> FgAbGr
     if r == 0 or g.is_trivial():
         return FgAbGroup.trivial()
     lower, upper = c.boundaries.get(n), c.boundaries.get(n + 1)
-    alpha = lower.transpose().entries if lower is not None else ((),) * r
-    beta = upper.transpose().entries if upper is not None else ()
+    alpha = transpose(lower).entries if lower is not None else ((),) * r
+    beta = transpose(upper).entries if upper is not None else ()
     zero = (0,) * len(alpha[0])
     rank, orders = 0, []
     if g.free_rank:
@@ -425,12 +435,12 @@ def reference_random_complex(rng, max_top: int = 5, max_rank: int = 5,
         if rng.random() < 0.7 and ranks:
             ranks[0] = 0
         boundaries = {}
-        kernel = IntMatrix.identity(ranks[0] if ranks else 0)
+        kernel = identity(ranks[0] if ranks else 0)
         overflow = False
         for n in range(1, top + 1):
             cols = ranks[n]
             if cols == 0:
-                kernel = IntMatrix.identity(0)
+                kernel = identity(0)
                 continue
             mixing = IntMatrix.from_rows(
                 [[rng.randint(-2, 2) if rng.random() < 0.5 else 0
@@ -588,7 +598,7 @@ def reference_column_echelon(m: IntMatrix,
     """
     rows, ncols = m.rows, m.cols
     if transform is None:
-        transform = IntMatrix.identity(ncols)
+        transform = identity(ncols)
     elif transform.cols != ncols:
         raise ValueError(f"transform has {transform.cols} columns, expected {ncols}")
     cols = [[m.entries[i][j] for i in range(rows)] for j in range(ncols)]
@@ -644,7 +654,7 @@ def echelon(m: IntMatrix, transform: IntMatrix | None = None) -> tuple[IntMatrix
     matrix form of :func:`reference_column_echelon`, which it must equal.
     """
     if transform is None:
-        transform = IntMatrix.identity(m.cols)
+        transform = identity(m.cols)
     cols = list(zip(*m.entries)) or [()] * m.cols
     w = list(zip(*transform.entries)) or [()] * transform.cols
     column_echelon(cols, w)
@@ -658,12 +668,12 @@ def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     the same order, on an IntMatrix per pass, so every result is identical.
     """
     rows, cols = m.rows, m.cols
-    start = IntMatrix.identity if certificate else lambda n: IntMatrix(0, n, ())
+    start = identity if certificate else lambda n: IntMatrix(0, n, ())
     a, v, ut = m, start(cols), start(rows)
     while True:
         a, v = reference_column_echelon(a, v)
-        at, ut = reference_column_echelon(a.transpose(), ut)
-        a = at.transpose()
+        at, ut = reference_column_echelon(transpose(a), ut)
+        a = transpose(at)
         if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a.entries)):
             break
     diag = [a.entries[i][i] for i in range(min(rows, cols))]

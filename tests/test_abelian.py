@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +39,7 @@ from helpers import (
     brute_hom_order,
     divides,
     echelon,
+    identity,
     invert_unimodular,
     is_zero,
     leibniz_det,
@@ -46,6 +49,7 @@ from helpers import (
     reference_column_echelon,
     reference_snf,
     torsion_primes,
+    transpose,
     zeros,
 )
 
@@ -100,7 +104,7 @@ class TestIntMatrix:
 
     @pytest.mark.parametrize("n", range(6))
     def test_identity_is_the_per_entry_form(self, n):
-        assert IntMatrix.identity(n) == IntMatrix(
+        assert identity(n) == IntMatrix(
             n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
@@ -170,11 +174,11 @@ def shaped_complex(name, ranks, boundaries):
 
 
 class TestLibraryShapedMatrices:
-    """transpose, diagonal, identity, @, kernel_basis and the Smith transforms
-    are built without IntMatrix.__new__'s check, as are the residual that
-    residual_cokernel hands to snf, the matrices cohomology_direct hands
-    to cokernel and the corpus's random matrices, mixing matrices and
-    squares; each must hold the shape it states."""
+    """diagonal, @, kernel_basis and the Smith transforms are built without
+    IntMatrix.__new__'s check, as are the residual that residual_cokernel
+    hands to snf, the matrices cohomology_direct hands to cokernel and the
+    corpus's random matrices, mixing matrices and squares; each must hold
+    the shape it states."""
 
     @settings(max_examples=300, deadline=None)
     @given(matrices, st.lists(st.integers(-10, 10), max_size=6), st.integers(0, 6),
@@ -183,9 +187,9 @@ class TestLibraryShapedMatrices:
     @example(IntMatrix(4, 0, ((),) * 4), [5], 3, 0)
     @example(IntMatrix(0, 0, ()), [2, 3], 0, 0)
     def test_every_one_holds_its_shape(self, m, diag, rows, cols):
-        t = m.transpose()
-        built = [t, t.transpose(), m @ t, t @ m, kernel_basis(m), kernel_basis(t),
-                 IntMatrix.identity(rows), IntMatrix.diagonal(diag),
+        t = transpose(m)
+        built = [t, transpose(t), m @ t, t @ m, kernel_basis(m), kernel_basis(t),
+                 identity(rows), IntMatrix.diagonal(diag),
                  IntMatrix.diagonal(diag, rows, cols)]
         for a in (m, t):
             for certificate in (True, False):
@@ -243,9 +247,9 @@ class TestLibraryShapedMatrices:
 
 class TestSnf:
     def test_identity(self):
-        m = IntMatrix.identity(2)
+        m = identity(2)
         dec = snf(m)
-        assert dec.S == IntMatrix.identity(2)
+        assert dec.S == identity(2)
         assert_valid_snf(m, dec)
 
     def test_diag_2_3(self):
@@ -344,7 +348,7 @@ class TestAgainstReferencePass:
     def test_same_on_empty_shapes(self, shape):
         m = zeros(*shape)
         for t in (None, zeros(0, m.cols), zeros(2, m.cols),
-                  IntMatrix.identity(m.cols)):
+                  identity(m.cols)):
             assert echelon(m, t) == reference_column_echelon(m, t)
 
     @settings(max_examples=300, deadline=None)
@@ -416,8 +420,8 @@ class TestBeyondReferenceShapes:
                                              - len(split.get(n + 1, ())))
                          for n, rows in d.items() if any(map(any, rows))]
         for m in residuals:
-            for a in (m, m.transpose()):
-                for t in (None, zeros(0, a.cols), IntMatrix.identity(a.cols),
+            for a in (m, transpose(m)):
+                for t in (None, zeros(0, a.cols), identity(a.cols),
                           IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(a.cols)]
                                                for _ in range(a.cols + 3)], cols=a.cols)):
                     assert_same_echelon(a, t, rng.choice([tuple, list]))
@@ -495,6 +499,34 @@ class TestCompositeIsZero:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             composite_is_zero(zeros(2, 3), zeros(2, 3))
+
+    @with_examples([(a, b) for a, b in signed_row_cases()
+                    if len(b) * max(map(abs, chain(*a))) * max(map(abs, chain(*b))) < 2**63]
+                   + [([[1, -1]], [[-2**61] * 3] * 2),  # zero, every digit borrowing
+                      ([[1, 1]], [[2**61, 2**61, -2**61], [-2**61, -2**61, 2**61]]),
+                      ([[1, -1]], [[2**61, -2**61, 2**61], [2**61, -2**61, 2**61 - 1]])])
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(signed(30), min_size=k, max_size=k), max_size=4),
+        st.lists(st.lists(signed(30), min_size=3, max_size=3), min_size=k, max_size=k))))
+    def test_big_endian_digit_order_is_exact(self, rows):
+        # a big-endian host reads each row's 8-byte items, in column order,
+        # as one big-endian integer: the digits come reversed, and the same
+        # ones and borrow still make a zero row exactly a zero product row
+        a_rows, b_rows = rows
+        a = IntMatrix.from_rows(a_rows, cols=len(b_rows))
+        b = IntMatrix.from_rows(b_rows, cols=3)
+        bound = a.cols * a.max_abs() * b.max_abs()
+        assert bound < 2**63  # the one-item digits that native order reads
+        ones = int.from_bytes((b"\1" + bytes(7)) * b.cols, "little")
+        packed = []
+        for row in b.entries:
+            digits = array("q", row)
+            digits.byteswap()
+            u = int.from_bytes(digits, "big")
+            packed.append(u - ((u >> 63 & ones) << 64))
+        big_endian_zero = not any(sum(x * p for x, p in zip(row, packed)) for row in a.entries)
+        assert big_endian_zero == is_zero(a @ b) == composite_is_zero(a, b)
 
     @pytest.mark.parametrize("bits", [1, 6, 7, 8, 15, 16, 63, 64, 100])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -574,7 +606,7 @@ class TestLatticeUtilities:
 
     def test_invert_unimodular(self):
         m = IntMatrix.from_rows([[2, 1], [1, 1]])
-        assert m @ invert_unimodular(m) == IntMatrix.identity(2)
+        assert m @ invert_unimodular(m) == identity(2)
         with pytest.raises(ValueError):
             invert_unimodular(IntMatrix.diagonal([2, 2]))
 
@@ -619,7 +651,7 @@ def cone_matrix(c, n: int, d: int) -> IntMatrix:
     """[[beta, 0], [d*I, alpha]] with alpha = d_n^T and beta = d_(n+1)^T:
     the matrix of the mapping cone cohomology_direct reduces for Z/d."""
     r = c.rank(n)
-    alpha, beta = boundary(c, n).transpose(), boundary(c, n + 1).transpose()
+    alpha, beta = transpose(boundary(c, n)), transpose(boundary(c, n + 1))
     return IntMatrix.from_rows(
         [row + (0,) * alpha.cols for row in beta.entries]
         + [e + a for e, a in zip(IntMatrix.diagonal([d] * r).entries, alpha.entries)],
@@ -709,12 +741,12 @@ class TestCokernel:
     def test_hermite_pivots_count_the_rank(self, seed, max_dim, bound):
         # cohomology_direct reads a coboundary's rank off one Hermite pass
         m = random_matrix(random.Random(seed), max_dim=max_dim, bound=bound)
-        assert len(column_echelon(list(m.transpose().entries))) == m.rows - cokernel(m).free_rank
+        assert len(column_echelon(list(transpose(m).entries))) == m.rows - cokernel(m).free_rank
 
     @pytest.mark.parametrize("shape", EMPTY_SHAPES)
     def test_hermite_pivots_count_the_rank_on_empty_shapes(self, shape):
         m = zeros(*shape)
-        assert len(column_echelon(list(m.transpose().entries))) == m.rows - cokernel(m).free_rank
+        assert len(column_echelon(list(transpose(m).entries))) == m.rows - cokernel(m).free_rank
 
 
 class TestFgAbGroup:
@@ -794,6 +826,15 @@ class TestFgAbGroup:
         assert FgAbGroup.of(1, [2, 3] * 2000) == FgAbGroup(1, (6,) * 2000)
         orders = [2, 4, 3, 9, 5] * 300
         assert FgAbGroup.of(0, orders) == FgAbGroup(0, (6,) * 300 + (180,) * 300)
+
+    def test_cyclic_zero_is_free_and_a_negative_order_is_refused(self):
+        assert FgAbGroup.cyclic(0) == FgAbGroup.free(1)
+        with pytest.raises(ValueError, match="cyclic order must be nonnegative"):
+            FgAbGroup.cyclic(-1)
+
+    def test_a_free_group_has_infinite_order(self):
+        assert FgAbGroup.free(1).order() == FgAbGroup.of(2, [2, 6]).order() == math.inf
+        assert FgAbGroup.of(0, [2, 6]).order() == 12 and TRIVIAL.order() == 1
 
     def test_of_rejects_nonpositive_orders(self):
         for bad in (0, -4):

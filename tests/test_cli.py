@@ -107,6 +107,14 @@ class TestVerbs:
         assert "ext part = Z/2" in out
         assert "exponent bound = 2" in out
 
+    def test_moore_ses_with_a_free_homotopy_group_is_infinite(self, capsys, table_file):
+        # the table's pi_3 is Z, so the hom part is Z and neither bound is finite
+        code, out, _ = run(capsys, "moore-ses", "--G", "Z", "--m", "1",
+                           "--table", table_file, "--n", "2")
+        assert code == 0
+        assert "hom part = Z\n" in out
+        assert "order product = infinite\n" in out and "exponent bound = infinite\n" in out
+
     def test_torsion_check(self, capsys, table_file):
         code, out, _ = run(capsys, "torsion-check", "--A", "rp:2",
                            "--table", table_file, "--primes", "2")
@@ -332,6 +340,50 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "the absolute variant" in err and "the relative variant" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (("homology", "--X", "file:{path}"),
+         '{"reduced": true, "ranks": {"1": 2, "2": 2}, "boundaries": {"2": [[1, 0], [1]]}}',
+         "boundary '2': expected 2 columns, got 1"),
+        (("homology", "--X", "file:{path}"),
+         '{"name": 5, "reduced": true, "ranks": {"1": 1}, "boundaries": {}}',
+         '"name" must be a string'),
+        (("homology", "--X", "file:{path}"), '{"reduced": true, "ranks": [], "boundaries": {}}',
+         '"ranks" and "boundaries" must be objects'),
+        (("homology", "--X", "file:{path}"),
+         '{"reduced": true, "ranks": {"1": -1}, "boundaries": {}}',
+         "negative cell count at degree 1"),
+        (("homology", "--X", "file:{path}"), "not json",
+         "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (("federer-e2", "--A", "rp:2", "--table", "{path}"), "[1, 2]",
+         "homotopy table file must hold a JSON object"),
+        (("federer-e2", "--A", "rp:2", "--table", "{path}"),
+         '{"variant": "sideways", "abelian": true, "pi": {"1": "Z"}}',
+         '"variant" must be "absolute" or "relative"'),
+        (("federer-e2", "--A", "rp:2", "--table", "{path}"),
+         '{"variant": "absolute", "abelian": true, "pi": [1]}',
+         '"pi" must map degrees to group strings'),
+        (("federer-e2", "--A", "rp:2", "--table", "{path}"),
+         '{"variant": "absolute", "abelian": true, "pi": {"1": 5}}',
+         "group for q = 1 must be a string"),
+        (("moore-ses", "--G", "Z/2", "--m", "1", "--n", "1", "--table", "{relative}"), None,
+         "Moore-space homotopy bounds need an absolute table"),
+        (("moore-ses", "--G", "Z/2", "--m", "0", "--n", "1", "--table", "{table}"), None,
+         "the Moore degree m must be >= 1"),
+        (("torsion-check", "--A", "rp:2", "--table", "{table}", "--primes", ","), None,
+         "empty prime list"),
+    ], ids=["ragged-boundary", "name-not-a-string", "ranks-a-list", "negative-rank",
+            "complex-not-json", "table-not-an-object", "bad-variant", "pi-a-list",
+            "group-not-a-string", "moore-ses-relative-table", "moore-ses-m-zero",
+            "empty-prime-list"])
+    def test_refusal_is_one_error_line(self, capsys, tmp_path, table_file, argv, text, message):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        relative = Path(__file__).parent / "golden" / "rel-table.json"
+        code, out, err = run(capsys, *(a.replace("{path}", str(path)).replace(
+            "{table}", table_file).replace("{relative}", str(relative)) for a in argv))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unknown_verb_is_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

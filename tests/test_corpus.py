@@ -17,8 +17,8 @@ from ahom import corpus
 from ahom.abelian import IntMatrix, SmithDecomposition, snf
 from ahom.corpus import random_group, random_matrix, random_table, uniform_int
 from ahom.federer import ABSOLUTE, RELATIVE
-from helpers import (reference_certificate_ok, reference_random_group, reference_random_matrix,
-                     reference_random_table)
+from helpers import (identity, reference_certificate_ok, reference_random_group,
+                     reference_random_matrix, reference_random_table)
 
 SEEDS = range(50)
 # a width 2^k takes every k-bit draw; 2^k + 1 rejects almost half of the
@@ -151,7 +151,7 @@ def test_the_packed_product_check_has_room_for_every_digit(m_rows, u_rows, diago
 def test_the_packed_product_check_rejects_a_carry_at_every_width():
     """(2^k, -1) is 0 in k-bit digits, so a digit width fixed at any k up to 80
     would read this product as the zero diagonal."""
-    dec = SmithDecomposition(IntMatrix.identity(1), (0,), IntMatrix.identity(2))
+    dec = SmithDecomposition(identity(1), (0,), identity(2))
     for k in range(81):
         m = IntMatrix.from_rows([[2**k, -1]])
         assert not reference_certificate_ok(m, dec)
