@@ -81,7 +81,7 @@ class ChainComplex(namedtuple("ChainComplex", "name ranks boundaries")):
     not an int is a TypeError, and all invariants (matching shapes
     and the d*d = 0 law) are checked at construction; zero ranks and zero
     matrices are normalized away.  The d*d = 0 test packs each row of the
-    upper boundary into one integer of two's-complement 64-bit-limb digits
+    upper boundary into one integer of two's-complement digits, 64k bits each
     (:func:`~ahom.abelian.composite_is_zero`), exact and with no product
     matrix; the product is formed only when the test fails, to name the
     first nonzero entry.  Each boundary's largest |entry| is found once and
