@@ -5,8 +5,7 @@ point and no modular shortcut anywhere.  The packed d*d = 0 test,
 :func:`composite_is_zero`, is exact, not modular: its digits, each an entry's
 two's complement as an 8-byte `array` item in native order or a wider
 `int.to_bytes`, take their width from the entry bounds, and one borrow per row
-makes the packing exact.  ``corpus`` packs its Smith certificates by shifts.
-The two central objects are
+makes the packing exact.  The two central objects are
 
 * :class:`IntMatrix` -- an immutable integer matrix, the substrate for all
   boundary/relation data, and
@@ -15,10 +14,10 @@ The two central objects are
   isomorphic exactly when they compare equal.
 
 On top of those sit the column Hermite form and the lattice utilities built
-on it (kernels, exact linear solving), the Smith normal form (:func:`snf`,
-certified or transform-free; it keeps the diagonal and derives S on read),
-and the functor arithmetic (:func:`hom`, :func:`ext`, :func:`direct_sum`) used by
-every homology computation downstream.  :func:`split_pivots`, the one search
+on it (kernels, exact linear solving), the Smith invariants (:func:`snf`,
+without transforms, which no caller needs), and the functor arithmetic
+(:func:`hom`, :func:`ext`, :func:`direct_sum`) used by every homology
+computation downstream.  :func:`split_pivots`, the one search
 for divisor pivots, splits them off a whole chain complex at once; then
 :func:`residual_cokernel` ends both :func:`cokernel` and homology in ``chains``.
 
@@ -156,37 +155,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
                      for row in self.entries])
         return tuple.__new__(IntMatrix, (self.rows, other.cols, out))  # its shape holds by construction
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            ak = a[k]
-            p = ak[k]
-            for ai in a[k + 1:]:
-                f = ai[k]
-                if f == 0 and p == prev:
-                    continue  # each update would be x * p // prev = x
-                for j in range(k + 1, n):
-                    ai[j] = (ai[j] * p - f * ak[j]) // prev
-                ai[k] = 0
-            prev = p
-        return sign * a[n - 1][n - 1]
-
 
 def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> bool:
     """Whether a @ b is the zero matrix, decided without forming it.
@@ -225,12 +193,10 @@ def composite_is_zero(a: IntMatrix, b: IntMatrix, bound: int | None = None) -> b
 # ---------------------------------------------------------------------------
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "U diagonal V")):
-    """Certificate U @ m @ V == S of a matrix m, with U, V unimodular and S diagonal.
-
-    It holds U, V and the diagonal, not m, and builds S (U.rows x V.cols) on
-    each read.  The diagonal is nonnegative, each entry divides the next, and
-    zeros trail.  U and V are empty (rows x 0 and 0 x cols) without a certificate.
-    """
+    """A Smith form of a matrix m: U @ m @ V == S when U and V are unimodular
+    transforms.  It builds S (U.rows x V.cols) from the diagonal on each read.
+    :func:`snf` leaves U and V empty (rows x 0 and 0 x cols); its diagonal is
+    nonnegative with zeros trailing, but need not be a divisor chain."""
 
     __slots__ = ()
 
@@ -243,61 +209,27 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "U diagonal V")):
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
-    """Smith normal form, with its certificate unless `certificate` is False.
-
-    Alternates column and row Hermite passes until the matrix is diagonal
-    (the Kannan-Bachem scheme).  The matrix is converted once: its columns,
-    the columns of V and the rows of U stay lists through every round, and
-    one transpose turns the columns into the rows the row pass works on.
-    Column operations go straight to V, row operations to the rows of U, so
-    no transform product is formed; Hermite steps keep the entries
-    determinant-bounded.  Without a certificate, as :func:`cokernel` runs, they
-    start as zero-length columns and U and V come back empty.  S is built on read.
-
-    The divisor chain is then closed in one pass: each pair (a, b) with a
-    not dividing b becomes (gcd, lcm) by one 2x2 unimodular transform on U
-    and V.  There is no round cap.
+def snf(m: IntMatrix) -> SmithDecomposition:
+    """A Smith form of m, without transforms: column and row Hermite passes
+    alternate until the matrix is diagonal (the Kannan-Bachem scheme), with no
+    round cap.  The matrix is converted once, and one transpose per pass turns
+    its columns into the rows the row pass works on, and back.  Both passes
+    sort zeros to the back and make pivots positive, so the diagonal is
+    nonnegative with zeros trailing, but it need not be a divisor chain:
+    :meth:`FgAbGroup.of` makes one of it.  U and V come back empty.
     """
     rows, cols = m.rows, m.cols
     a = _transpose(m.entries, cols)
-    start = _unit_vectors if certificate else lambda n: [()] * n
-    vcols, urows = start(cols), start(rows)
     while True:
-        column_echelon(a, vcols)
+        column_echelon(a)
         a = _transpose(a, rows)
-        column_echelon(a, urows)
+        column_echelon(a)
         if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
             break
         a = _transpose(a, cols)
-    # both echelon passes sort zero columns/rows to the back and make pivots
-    # positive, so the diagonal is a positive prefix followed by zeros
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    for i in range(len(diag)):
-        if diag[i] < 2:  # 0 and 1 are never changed by a pair
-            continue
-        for j in range(i + 1, len(diag)):
-            x, y = diag[i], diag[j]
-            if not x or not y % x:
-                continue
-            # with g = s*x + t*y: [[s, t], [-y/g, x/g]] on rows i, j of U and
-            # [[1, -t*y/g], [1, s*x/g]] on columns i, j of V turn
-            # diag(x, y) into diag(g, x*y/g)
-            g = math.gcd(x, y)
-            p, q = x // g, y // g
-            s = pow(p, -1, q)
-            t = (1 - s * p) // q
-            ui, uj = urows[i], urows[j]
-            urows[i] = [s * e + t * f for e, f in zip(ui, uj)]
-            urows[j] = [p * f - q * e for e, f in zip(ui, uj)]
-            vi, vj = vcols[i], vcols[j]
-            vcols[i] = [e + f for e, f in zip(vi, vj)]
-            vcols[j] = [s * p * f - t * q * e for e, f in zip(vi, vj)]
-            diag[i], diag[j] = g, x * q
-    n, k = (rows, cols) if certificate else (0, 0)  # U is rows x n, V is k x cols
-    u = tuple.__new__(IntMatrix, (rows, n, tuple(map(tuple, urows))))  # shaped as built
-    v = tuple.__new__(IntMatrix, (k, cols, tuple(_transpose(vcols, k))))
-    return SmithDecomposition(U=u, diagonal=tuple(diag), V=v)
+    u = tuple.__new__(IntMatrix, (rows, 0, ((),) * rows))  # shaped as built
+    v = tuple.__new__(IntMatrix, (0, cols, ()))
+    return SmithDecomposition(U=u, diagonal=tuple(a[i][i] for i in range(min(rows, cols))), V=v)
 
 
 def column_echelon(cols: list[Sequence[int]],
@@ -612,11 +544,12 @@ def _pivot(row: list[int], rows: list[list[int]]) -> int | None:
 def residual_cokernel(rows: list[list[int]], orders: list[int]) -> FgAbGroup:
     """The cokernel of a matrix, from the |p| of the divisor pivots split off
     it (:func:`split_pivots`) and the rows left, which take one :func:`snf`
-    without a certificate unless zero."""
+    unless zero; :meth:`FgAbGroup.of` makes one divisor chain of the orders
+    and the Smith diagonal."""
     if not any(map(any, rows)):
         return FgAbGroup.of(len(rows), orders)
     residual = tuple.__new__(IntMatrix, (len(rows), len(rows[0]), tuple(map(tuple, rows))))
-    dec = snf(residual, False)
+    dec = snf(residual)
     return FgAbGroup.of(len(rows) - dec.rank, [*orders, *dec.diagonal[:dec.rank]])
 
 

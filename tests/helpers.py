@@ -46,6 +46,38 @@ def transpose(m: IntMatrix) -> IntMatrix:
     return IntMatrix(m.cols, m.rows, tuple(zip(*m.entries)) if m.rows else ((),) * m.cols)
 
 
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        ak = a[k]
+        p = ak[k]
+        for ai in a[k + 1:]:
+            f = ai[k]
+            if f == 0 and p == prev:
+                continue  # each update would be x * p // prev = x
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * p - f * ak[j]) // prev
+            ai[k] = 0
+        prev = p
+    return sign * a[n - 1][n - 1]
+
+
 def is_zero(m: IntMatrix) -> bool:
     """Whether every entry of m is zero."""
     return not any(map(any, m.entries))
@@ -303,7 +335,7 @@ def leibniz_det(rows) -> int:
 
     Row i picks the k-th of the columns still free, which adds k inversions;
     a zero pick drops every permutation that extends it.  No elimination and
-    no division, so it checks IntMatrix.det without sharing any of its steps.
+    no division, so it checks :func:`det` without sharing any of its steps.
     """
     def expand(i, free, sign, term):
         if i == len(rows):
@@ -664,8 +696,13 @@ def echelon(m: IntMatrix, transform: IntMatrix | None = None) -> tuple[IntMatrix
 
 def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     """The Smith form by matrix-level passes of :func:`reference_column_echelon`,
-    kept as the oracle of :func:`ahom.abelian.snf`: the same operations in
-    the same order, on an IntMatrix per pass, so every result is identical.
+    kept as the oracle of :func:`ahom.abelian.snf`.
+
+    With a certificate, U @ m @ V == S with U and V unimodular, and one pass
+    of 2x2 transforms closes the divisor chain of the diagonal.  Without one
+    it does what snf does, the same operations in the same order on an
+    IntMatrix per pass, so that every result is identical: U and V are empty
+    and the diagonal is left as the Hermite passes leave it.
     """
     rows, cols = m.rows, m.cols
     start = identity if certificate else lambda n: IntMatrix(0, n, ())
@@ -679,7 +716,7 @@ def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
     diag = [a.entries[i][i] for i in range(min(rows, cols))]
     urows = [list(c) for c in zip(*ut.entries)] or [[]] * rows
     vcols = [list(c) for c in zip(*v.entries)] or [[]] * cols
-    for i in range(len(diag)):
+    for i in range(len(diag) if certificate else 0):
         if diag[i] < 2:
             continue
         for j in range(i + 1, len(diag)):
@@ -706,7 +743,7 @@ def reference_snf(m: IntMatrix, certificate: bool = True) -> SmithDecomposition:
 def reference_certificate_ok(m: IntMatrix, dec: SmithDecomposition) -> bool:
     """Whether U @ m @ V == S for a certificate dec of m, read off the two dense
     products: row i holds the diagonal entry i, if there is one, and zeros
-    elsewhere.  The corpus's certificate check did this before it packed rows."""
+    elsewhere."""
     diag = dec.diagonal
     for i, row in enumerate((dec.U @ m @ dec.V).entries):
         if any(row[:i]) or any(row[i + 1:]) or (i < len(diag) and row[i] != diag[i]):

@@ -37,6 +37,7 @@ from helpers import (
     boundary,
     brute_ext_order,
     brute_hom_order,
+    det,
     divides,
     echelon,
     identity,
@@ -59,10 +60,11 @@ Z2 = FgAbGroup.cyclic(2)
 
 
 def assert_valid_snf(m, dec):
+    """dec is a Smith certificate of m, as reference_snf builds one."""
     S = dec.S  # built from the diagonal on each read
     assert dec.U @ m @ dec.V == S
-    assert abs(dec.U.det()) == 1
-    assert abs(dec.V.det()) == 1
+    assert abs(det(dec.U)) == 1
+    assert abs(det(dec.V)) == 1
     for i in range(S.rows):
         for j in range(S.cols):
             if i != j:
@@ -79,6 +81,20 @@ def assert_valid_snf(m, dec):
             if prev is not None:
                 assert d % prev == 0
             prev = d
+
+
+def assert_certified_group(m):
+    """The certified reference Smith form of m is valid, and the transform-free
+    snf(m) has its rank and its group, a nonnegative diagonal with zeros
+    trailing, and empty U and V."""
+    dec, ref = snf(m), reference_snf(m)
+    assert_valid_snf(m, ref)
+    assert dec.rank == ref.rank
+    assert all(dec.diagonal[:dec.rank]) and not any(dec.diagonal[dec.rank:])
+    assert min(dec.diagonal, default=0) >= 0
+    assert (FgAbGroup.of(m.rows - dec.rank, dec.diagonal[:dec.rank])
+            == FgAbGroup.of(m.rows - ref.rank, ref.diagonal[:ref.rank]))
+    assert (dec.U.rows, dec.U.cols, dec.V.rows, dec.V.cols) == (m.rows, 0, 0, m.cols)
 
 
 matrices = st.integers(0, 6).flatmap(
@@ -104,9 +120,9 @@ class TestIntMatrix:
 
     @pytest.mark.parametrize("n", range(6))
     def test_identity_is_the_per_entry_form(self, n):
-        assert identity(n) == IntMatrix(
+        # IntMatrix.diagonal builds its rows from slices of one zero row
+        assert IntMatrix.diagonal((1,) * n) == IntMatrix(
             n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
 
     @pytest.mark.parametrize("shape", [(r, k, c) for r in (0, 1, 3) for k in (0, 1, 3)
                                        for c in (0, 1, 3)])
@@ -132,18 +148,18 @@ class TestIntMatrix:
     @example([[0, 1, 2], [1, 0, 1], [0, 2, 0]])
     @example([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
     def test_det_is_the_leibniz_sum(self, rows):
-        assert IntMatrix.from_rows(rows, cols=len(rows)).det() == leibniz_det(rows)
+        assert det(IntMatrix.from_rows(rows, cols=len(rows))) == leibniz_det(rows)
 
     def test_det_of_the_certificates_from_random_matrices(self):
-        rng = random.Random(2004)  # the seed of the corpus's certificate check
+        rng = random.Random(2004)
         for _ in range(60):
-            dec = snf(random_matrix(rng))
+            dec = reference_snf(random_matrix(rng))
             for t in (dec.U, dec.V):
-                assert t.det() == leibniz_det(t.entries) in (1, -1)
+                assert det(t) == leibniz_det(t.entries) in (1, -1)
 
     def test_det_refuses_a_non_square_matrix(self):
         with pytest.raises(ValueError, match="non-square"):
-            IntMatrix.from_rows([[1, 2]]).det()
+            det(IntMatrix.from_rows([[1, 2]]))
 
 
 def assert_shaped(m: IntMatrix) -> None:
@@ -174,11 +190,11 @@ def shaped_complex(name, ranks, boundaries):
 
 
 class TestLibraryShapedMatrices:
-    """diagonal, @, kernel_basis and the Smith transforms are built without
+    """diagonal, @, kernel_basis and snf's empty U and V are built without
     IntMatrix.__new__'s check, as are the residual that residual_cokernel
     hands to snf, the matrices cohomology_direct hands to cokernel and the
-    corpus's random matrices, mixing matrices and squares; each must hold
-    the shape it states."""
+    corpus's random, mixing and planted matrices; each must hold the shape
+    it states."""
 
     @settings(max_examples=300, deadline=None)
     @given(matrices, st.lists(st.integers(-10, 10), max_size=6), st.integers(0, 6),
@@ -188,16 +204,14 @@ class TestLibraryShapedMatrices:
     @example(IntMatrix(0, 0, ()), [2, 3], 0, 0)
     def test_every_one_holds_its_shape(self, m, diag, rows, cols):
         t = transpose(m)
-        built = [t, transpose(t), m @ t, t @ m, kernel_basis(m), kernel_basis(t),
-                 identity(rows), IntMatrix.diagonal(diag),
+        built = [m @ t, t @ m, kernel_basis(m), kernel_basis(t), IntMatrix.diagonal(diag),
                  IntMatrix.diagonal(diag, rows, cols)]
         for a in (m, t):
-            for certificate in (True, False):
-                dec = snf(a, certificate)
-                built += [dec.U, dec.V, dec.S]
+            dec = snf(a)
+            built += [dec.U, dec.V, dec.S]
+            assert (dec.U.rows, dec.U.cols, dec.V.rows, dec.V.cols) == (a.rows, 0, 0, a.cols)
         for x in built:
             assert_shaped(x)
-        assert (t.rows, t.cols) == (m.cols, m.rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32),
@@ -239,34 +253,39 @@ class TestLibraryShapedMatrices:
                 after_none += any(ranks.get(n) and not ranks.get(n - 1) for n in range(2, 6))
         assert first and after_none
 
-    def test_the_certificate_check_squares_hold_their_shapes(self):
-        with pytest.MonkeyPatch.context() as mp:  # the check takes det of each square first
-            mp.setattr(IntMatrix, "det", shape_checked(IntMatrix.det))
-            assert corpus.check_snf_certificates().passed
+    def test_the_planted_matrices_hold_their_shapes(self):
+        rng = random.Random(2004)  # the seed of the corpus's planted check
+        draws = [corpus.planted_matrix(rng)[0] for _ in range(500)]
+        for m in draws:
+            assert_shaped(m)
+        assert any(m.rows == 0 < m.cols for m in draws)
+        assert any(m.cols == 0 < m.rows for m in draws)
 
 
 class TestSnf:
+    """snf is transform-free and its diagonal need not be a divisor chain;
+    the Smith certificate properties are checked on reference_snf, and snf
+    must have the certified form's rank and group."""
+
     def test_identity(self):
         m = identity(2)
-        dec = snf(m)
-        assert dec.S == identity(2)
-        assert_valid_snf(m, dec)
+        assert snf(m).S == identity(2)
+        assert_certified_group(m)
 
     def test_diag_2_3(self):
         m = IntMatrix.diagonal([2, 3])
-        dec = snf(m)
-        assert dec.S == IntMatrix.diagonal([1, 6])
-        assert_valid_snf(m, dec)
+        assert snf(m).S == m  # already diagonal: no pass changes it
+        assert reference_snf(m).S == IntMatrix.diagonal([1, 6])
+        assert_certified_group(m)
 
     def test_zero_matrix(self):
         m = zeros(3, 2)
-        dec = snf(m)
-        assert dec.S == zeros(3, 2)
-        assert_valid_snf(m, dec)
+        assert snf(m).S == zeros(3, 2)
+        assert_certified_group(m)
 
     def test_empty_shapes(self):
         for r, c in [(0, 0), (0, 3), (3, 0)]:
-            assert_valid_snf(zeros(r, c), snf(zeros(r, c)))
+            assert_certified_group(zeros(r, c))
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -275,25 +294,25 @@ class TestSnf:
     @settings(max_examples=150, deadline=None)
     @given(matrices)
     def test_certificate_invariants(self, m):
-        assert_valid_snf(m, snf(m))
+        assert_certified_group(m)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 36), min_size=2, max_size=12), st.integers(0, 2))
     def test_certificate_on_broken_divisor_chains(self, diag, extra):
         m = IntMatrix.diagonal(diag, len(diag) + extra, len(diag))
-        dec = snf(m)
-        assert_valid_snf(m, dec)
+        dec = reference_snf(m)
         nonzero = [d for d in diag if d]
         factors = prime_power_group(0, nonzero).invariant_factors
         assert dec.diagonal[:dec.rank] == (1,) * (len(nonzero) - len(factors)) + factors
+        assert_certified_group(m)
 
     def test_long_broken_divisor_chain(self):
         # a repair of one pair per Hermite round needs rounds quadratic in the
         # length; 120 entries lie past where a 1000-round cap would stop it
         m = IntMatrix.diagonal([4, 2] * 60)
-        dec = snf(m)
-        assert_valid_snf(m, dec)
-        assert dec.diagonal == (2,) * 60 + (4,) * 60
+        assert reference_snf(m).diagonal == (2,) * 60 + (4,) * 60
+        assert snf(m).diagonal == (4, 2) * 60  # one round, and the chain is FgAbGroup.of's
+        assert_certified_group(m)
 
 
 class TestColumnEchelon:
@@ -302,7 +321,7 @@ class TestColumnEchelon:
     def test_echelon_invariants(self, m):
         h, w = echelon(m)
         assert m @ w == h
-        assert abs(w.det()) == 1
+        assert abs(det(w)) == 1
         leads = []
         seen_zero = False
         for j in range(h.cols):
@@ -332,9 +351,10 @@ def random_transform(rng: random.Random, cols: int) -> IntMatrix | None:
 
 
 class TestAgainstReferencePass:
-    """The in-place Hermite pass on column lists, and the Smith form that
-    keeps its lists through every round, do the reference passes' operations
-    in the same order, so every output is identical, not merely equivalent."""
+    """The in-place Hermite pass on column lists, and the transform-free Smith
+    form that keeps its lists through every round, do the reference passes'
+    operations in the same order, so every output is identical, not merely
+    equivalent."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 9))
@@ -356,14 +376,12 @@ class TestAgainstReferencePass:
     def test_same_smith_certificate(self, seed, max_dim):
         rng = random.Random(seed)
         m = random_matrix(rng, max_dim=max_dim, bound=rng.choice([1, 10, 2**40]))
-        assert snf(m) == reference_snf(m)
-        assert snf(m, certificate=False) == reference_snf(m, certificate=False)
+        assert snf(m) == reference_snf(m, certificate=False)
 
     @pytest.mark.parametrize("shape", EMPTY_SHAPES)
     def test_same_smith_certificate_on_empty_shapes(self, shape):
         m = zeros(*shape)
-        for certificate in (True, False):
-            assert snf(m, certificate) == reference_snf(m, certificate)
+        assert snf(m) == reference_snf(m, certificate=False)
 
 
 def assert_same_echelon(m: IntMatrix, t: IntMatrix | None, kind=tuple) -> None:
@@ -435,8 +453,9 @@ def signed_row_cases():
     """(a rows, b rows) pairs whose two's-complement digits borrow: b rows all
     negative, alternating, or negative in the last column, which borrows out
     of the top digit, at magnitudes on the one-, two- and three-limb widths.
-    Each row gives zero and nonzero products, some with one nonzero entry."""
-    for magnitude in (2**62, 2**63 - 1, 2**63, 2**64, 2**127, 2**128):
+    Each row gives zero and nonzero products, some with one nonzero entry;
+    at 2^30 and 2^61 zero products also stay below the one-item bound 2^63."""
+    for magnitude in (2**30, 2**61, 2**62, 2**63 - 1, 2**63, 2**64, 2**127, 2**128):
         for signs in ((-1, -1, -1), (1, -1, 1), (1, 1, -1)):
             row = [s * magnitude for s in signs]
             for k in (1, magnitude):
@@ -455,6 +474,19 @@ def with_examples(cases):
             test = example(case)(test)
         return test
     return decorate
+
+
+def one_item_bound(a_rows, b_rows) -> bool:
+    """Whether the d*d bound of the pair fits one 8-byte digit."""
+    return len(b_rows) * max(map(abs, chain(*a_rows))) * max(map(abs, chain(*b_rows))) < 2**63
+
+
+def test_signed_row_cases_reach_the_one_item_digits_with_zero_products():
+    # every benchmark input packs its digits as one array("q") item each
+    one_item = [(a, b) for a, b in signed_row_cases() if one_item_bound(a, b)]
+    zero = [(a, b) for a, b in one_item
+            if is_zero(IntMatrix.from_rows(a) @ IntMatrix.from_rows(b))]
+    assert zero and len(zero) < len(one_item)
 
 
 class TestCompositeIsZero:
@@ -500,8 +532,7 @@ class TestCompositeIsZero:
         with pytest.raises(ValueError, match="shape mismatch"):
             composite_is_zero(zeros(2, 3), zeros(2, 3))
 
-    @with_examples([(a, b) for a, b in signed_row_cases()
-                    if len(b) * max(map(abs, chain(*a))) * max(map(abs, chain(*b))) < 2**63]
+    @with_examples([(a, b) for a, b in signed_row_cases() if one_item_bound(a, b)]
                    + [([[1, -1]], [[-2**61] * 3] * 2),  # zero, every digit borrowing
                       ([[1, 1]], [[2**61, 2**61, -2**61], [-2**61, -2**61, 2**61]]),
                       ([[1, -1]], [[2**61, -2**61, 2**61], [2**61, -2**61, 2**61 - 1]])])
@@ -579,7 +610,7 @@ class TestLatticeUtilities:
     @given(matrices)
     def test_kernel_basis_matches_smith_kernel(self, m):
         # the Smith construction: Hermite form of the V columns beyond the rank
-        dec = snf(m)
+        dec = reference_snf(m)
         beyond = IntMatrix(m.cols, m.cols - dec.rank,
                            tuple(row[dec.rank:] for row in dec.V.entries))
         smith_kernel, _ = echelon(beyond)
@@ -675,7 +706,7 @@ class TestCokernel:
             n = rng.randint(1, 5)
             m = IntMatrix.from_rows(
                 [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-            d = m.det()
+            d = det(m)
             if d == 0:
                 continue
             assert cokernel(m).order() == abs(d)
@@ -687,7 +718,7 @@ class TestCokernel:
     def test_equals_certified_diagonal(self, seed, max_dim):
         # small max_dim makes 0-row and 0-column shapes common
         m = random_matrix(random.Random(seed), max_dim=max_dim)
-        dec = snf(m)
+        dec = reference_snf(m)
         assert_valid_snf(m, dec)
         assert cokernel(m) == FgAbGroup.of(m.rows - dec.rank, dec.diagonal[:dec.rank])
 
@@ -695,8 +726,8 @@ class TestCokernel:
     @given(st.integers(0, 2**32), st.integers(0, 8))
     def test_uncertified_snf_has_the_certified_form(self, seed, max_dim):
         m = random_matrix(random.Random(seed), max_dim=max_dim)
-        bare = snf(m, certificate=False)
-        assert bare.S == snf(m).S
+        bare = snf(m)
+        assert_certified_group(m)
         # S is built from the diagonal on each read, and kept by no one
         assert bare.S is not bare.S and not hasattr(bare, "__dict__")
         assert bare.S == IntMatrix.diagonal(bare.diagonal, m.rows, m.cols)

@@ -6,7 +6,8 @@ and attribute, and ``bench/tests`` checks that ``chains.kernel_basis`` and
 and calls a few library functions directly.  The tracer names the row of
 each entry of ``corpus.ALL_CHECKS`` from its function's name, which must
 give the name the check reports, and it reads ``SmithDecomposition.S``,
-``U`` and ``V`` off each ``snf`` result and ``entries`` off each page.
+``U`` and ``V`` off each ``snf`` result and ``entries`` off each page;
+``snf`` leaves U and V empty, so the tracer must read empty transforms too.
 Those tests live outside this suite, so a rename or a signature change
 would otherwise only show as a failing ``bench/run.py --trace 1`` or
 ``pytest bench/tests``.
@@ -24,7 +25,7 @@ from ahom.abelian import FgAbGroup, IntMatrix, snf
 from ahom.chains import ChainComplex, homology
 from ahom.federer import ABSOLUTE, HomotopyTable, federer_e2
 from ahom.spaces import build, parse_recipe, projective
-from helpers import check_name, complex_to_json
+from helpers import check_name, complex_to_json, reference_snf
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 CORPUS_JSON = Path(__file__).parent / "golden" / "corpus-json.out"
@@ -73,10 +74,13 @@ def test_traced_check_names_are_the_reported_names():
 
 def test_tracer_observes_real_values():
     # the observers read dec.S, dec.U, dec.V and len(page.entries), so none
-    # of them can leave the library while bench/run.py --trace 1 reads them
+    # of them can leave the library while bench/run.py --trace 1 reads them;
+    # the reference's certificate gives the transform row a real value
     tracer = _tracing().Tracer()
     m = IntMatrix.from_rows([[2, 4], [6, 9]])
     tracer._observe_snf((m,), snf(m))
+    assert tracer.maxima["abelian.snf.max_transform_bits"] == 0
+    tracer._observe_snf((m,), reference_snf(m))
     x = projective(3)
     tracer._observe_homology((x, 1), homology(x, 1))
     page = federer_e2(projective(2), HomotopyTable(ABSOLUTE, {1: FgAbGroup.free(1),

@@ -153,10 +153,10 @@ class TestHomology:
 def fresh_homology(c: ChainComplex, n: int) -> FgAbGroup:
     """ker(d_n) / im(d_(n+1)) reduced from scratch for this one degree.
 
-    The quotient is read off the certified Smith diagonal of the relations
-    solved in a kernel basis, so this oracle is independent of the rank
-    arithmetic that homology uses; it shares the Smith loop with that route,
-    which the certificate tests in test_abelian check on their own.
+    The quotient is read off the Smith diagonal of the relations solved in a
+    kernel basis, so this oracle is independent of the rank arithmetic that
+    homology uses; it shares the Smith loop with that route, which
+    test_abelian checks against the certified reference on its own.
     """
     if n < 0 or c.rank(n) == 0:
         return TRIVIAL
@@ -189,9 +189,9 @@ class TestGradedHomologyCache:
     def test_second_call_does_no_reduction(self, monkeypatch):
         calls = []
 
-        def counting(m, certificate=True):
+        def counting(m):
             calls.append(m)
-            return snf(m, certificate)
+            return snf(m)
 
         monkeypatch.setattr(abelian, "snf", counting)
         monkeypatch.setattr(abelian, "cokernel", None)  # homology never calls it
